@@ -42,13 +42,14 @@ type Core struct {
 	OnProgram func(*cce.Program)
 	// Cancel, when non-nil, cooperatively interrupts execution: every
 	// instruction loop polls it and returns ErrInterrupted once it is
-	// closed. The chip layer points it at a per-attempt context so a
-	// run-wide abort or a per-tile watchdog can reclaim a core that is
-	// mid-program (or hung inside a blocking hook).
+	// closed. The chip layer points it at the run's context, or at a
+	// per-attempt watchdog channel, so a run-wide abort or a per-tile
+	// watchdog can reclaim a core that is mid-program (or hung inside a
+	// blocking hook).
 	Cancel <-chan struct{}
 	// OnInstr, when non-nil, observes every instruction immediately before
 	// its functional execution on the interpreted paths (Run, Replay,
-	// ExecOnly, RunExplicit); a non-nil error aborts the run. The fault
+	// RunExplicit); a non-nil error aborts the run. The fault
 	// injector (internal/faults) uses it to perturb runs at a chosen
 	// instruction. The flattened fast path does not consult it, so plans
 	// interpret the program while a hook is armed (see ops.Plan).
@@ -220,30 +221,6 @@ func (c *Core) Replay(prog *cce.Program) (*Stats, error) {
 		c.OnProgram(prog)
 	}
 	return c.schedule(prog)
-}
-
-// ExecOnly executes prog functionally — in program order, like Run — but
-// computes no schedule and no stats. Plans use it when the timing of the
-// (shape-deterministic) program is already memoized from an earlier replay
-// under the same cost model, which makes repeated tiles pure data work.
-func (c *Core) ExecOnly(prog *cce.Program) error {
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
-	}
-	for idx, in := range prog.Instrs {
-		if c.interrupted() {
-			return fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-		}
-		if c.OnInstr != nil {
-			if err := c.OnInstr(idx, in); err != nil {
-				return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-			}
-		}
-		if err := c.exec(in); err != nil {
-			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-		}
-	}
-	return nil
 }
 
 // schedule is the shared body of Run and Replay: functional execution in

@@ -287,9 +287,8 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 }
 
 // ExecFlat functionally executes a flattened trace, in trace (= program)
-// order. Like ExecOnly it performs no scheduling and records no timing;
-// buffer contents afterwards are bit-identical to Run on the original
-// program.
+// order. It performs no scheduling and records no timing; buffer
+// contents afterwards are bit-identical to Run on the original program.
 func (c *Core) ExecFlat(fp *FlatProgram) error {
 	if c.OnProgram != nil {
 		c.OnProgram(fp.prog)

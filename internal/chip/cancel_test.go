@@ -39,75 +39,51 @@ func cancelAfterSpans(tr *trace.Tracer, k int, cancel context.CancelFunc) (stop 
 	return func() { close(done) }
 }
 
-func TestCancelMidTileLegacySweep(t *testing.T) {
+// TestCancelMidTileSweep cancels the caller's context after every
+// possible number of finished tile spans: before the first tile, between
+// every pair, and after the last. Whatever the interleaving, under both
+// the zero Resilience and the fault-tolerant executor, the run must
+// return exactly once with either a complete bit-identical output or an
+// error wrapping both context.Canceled and aicore.ErrInterrupted — and
+// end every span it started.
+func TestCancelMidTileSweep(t *testing.T) {
 	p, c1 := cancelLayer()
 	in := chaosInput(t, p, 1, c1)
 	want := ref.MaxPoolForward(in, p)
 
-	// Cancel after every possible number of finished tile spans: before
-	// the first tile, between every pair, and after the last. Whatever
-	// the interleaving, the run must return exactly once with either a
-	// complete bit-identical output or an interruption error — and end
-	// every span it started.
-	for k := 0; k <= c1+1; k++ {
-		tr := trace.New()
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := cancelAfterSpans(tr, k, cancel)
-		c := New(Config{Cores: 2, Context: ctx, Trace: tr.Root()})
-		out, _, err := c.MaxPoolForward("im2col", in, p)
-		stop()
-		cancel()
-		switch {
-		case err == nil:
-			if out == nil || !bytes.Equal(out.Data, want.Data) {
-				t.Fatalf("k=%d: clean return with wrong output", k)
+	for _, tc := range []struct {
+		name string
+		res  Resilience
+	}{
+		{"default", Resilience{}},
+		{"resilient", Resilience{Enabled: true, Watchdog: 400 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for k := 0; k <= c1+1; k++ {
+				tr := trace.New()
+				ctx, cancel := context.WithCancel(context.Background())
+				stop := cancelAfterSpans(tr, k, cancel)
+				c := New(Config{Cores: 2, Context: ctx, Trace: tr.Root(), Resilience: tc.res})
+				out, _, err := c.MaxPoolForward("im2col", in, p)
+				stop()
+				cancel()
+				switch {
+				case err == nil:
+					if out == nil || !bytes.Equal(out.Data, want.Data) {
+						t.Fatalf("k=%d: clean return with wrong output", k)
+					}
+				case errors.Is(err, context.Canceled) && errors.Is(err, aicore.ErrInterrupted):
+					if out != nil {
+						t.Fatalf("k=%d: error return carries an output", k)
+					}
+				default:
+					t.Fatalf("k=%d: unexpected error %v", k, err)
+				}
+				if tr.Active() != 0 {
+					t.Fatalf("k=%d: span leak, Active = %d", k, tr.Active())
+				}
 			}
-		case errors.Is(err, aicore.ErrInterrupted):
-			if out != nil {
-				t.Fatalf("k=%d: error return carries an output", k)
-			}
-		default:
-			t.Fatalf("k=%d: unexpected error %v", k, err)
-		}
-		if tr.Active() != 0 {
-			t.Fatalf("k=%d: span leak, Active = %d", k, tr.Active())
-		}
-	}
-}
-
-func TestCancelMidTileResilientSweep(t *testing.T) {
-	p, c1 := cancelLayer()
-	in := chaosInput(t, p, 1, c1)
-	want := ref.MaxPoolForward(in, p)
-
-	for k := 0; k <= c1+1; k++ {
-		tr := trace.New()
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := cancelAfterSpans(tr, k, cancel)
-		c := New(Config{
-			Cores:      2,
-			Context:    ctx,
-			Trace:      tr.Root(),
-			Resilience: Resilience{Enabled: true, Watchdog: 400 * time.Millisecond},
 		})
-		out, _, err := c.MaxPoolForward("im2col", in, p)
-		stop()
-		cancel()
-		switch {
-		case err == nil:
-			if out == nil || !bytes.Equal(out.Data, want.Data) {
-				t.Fatalf("k=%d: clean return with wrong output", k)
-			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, aicore.ErrInterrupted):
-			if out != nil {
-				t.Fatalf("k=%d: error return carries an output", k)
-			}
-		default:
-			t.Fatalf("k=%d: unexpected error %v", k, err)
-		}
-		if tr.Active() != 0 {
-			t.Fatalf("k=%d: span leak, Active = %d", k, tr.Active())
-		}
 	}
 }
 

@@ -17,31 +17,39 @@ import (
 	"davinci/internal/trace"
 )
 
-// Resilience configures the fault-tolerant tile executor. With Enabled
-// set, runTiles routes through a scheduler that keeps the default static
-// round-robin placement for first attempts but adds, per tile attempt:
+// Resilience configures the fault tolerance of the tile executor. Every
+// run goes through one executor (runTiles): tiles are placed on cores
+// statically round-robin, each busy core reuses one aicore.Core across
+// its tiles, and the first run-killing failure — or the caller's
+// cancellation — interrupts every in-flight core. A panicking tile is
+// recovered into an ErrTilePanic carrying the core index, tile identity
+// and stack instead of crashing the process.
+//
+// The zero value runs each tile once: no watchdog, no retries, no
+// attempt tracing, no degradation and no fault injection. With Enabled
+// set, the executor adds, per tile attempt:
 //
 //   - a watchdog that interrupts an attempt making no progress after
 //     Watchdog of host wall time and converts the hang into a typed
 //     *TileError (ErrTileHang) naming the blocked pipe, the unsatisfied
 //     wait_flag when known, and the tail of the stall-attributed trace;
 //   - bounded retry on a FRESH core — a faulted core's scratch-pads may
-//     hold corrupted data, so retries never reuse the failing core's
-//     state — requeued onto a different healthy core when one exists;
+//     hold corrupted data, so a core that failed an attempt is replaced
+//     before its worker runs anything else — requeued onto a different
+//     healthy core when one exists;
 //   - per-core failure budgets: a core exceeding CoreFailLimit failed
 //     attempts is marked bad and excluded from the retry pool;
 //   - optional graceful degradation: a tile that exhausts MaxAttempts
 //     falls back to the host-side golden model (internal/ref) and is
-//     reported in Stats.Degraded instead of failing the run;
-//   - panic containment: a panicking tile worker is recovered into an
-//     ErrTilePanic carrying the core index, tile identity and stack.
+//     reported in Stats.Degraded instead of failing the run.
 //
 // Retry backoff is simulated bookkeeping only: each retry adds
 // BackoffCycles << (attempt-1) to the chip_retry_backoff_cycles counter
 // without sleeping the host or perturbing the deterministic cycle
 // accounting of successful attempts.
 type Resilience struct {
-	// Enabled routes runTiles through the resilient executor.
+	// Enabled turns on the fault-tolerance features the other fields
+	// configure; without it they are ignored.
 	Enabled bool
 	// Injector, when non-nil, perturbs tile attempts with deterministic
 	// seeded faults (internal/faults) — the chaos harness.
@@ -68,7 +76,12 @@ type Resilience struct {
 	TraceTail int
 }
 
-func (r Resilience) withDefaults() Resilience {
+// settings resolves the configuration the executor runs with: the zero
+// value's single attempt, or Enabled's fields with their defaults.
+func (r Resilience) settings() Resilience {
+	if !r.Enabled {
+		r = Resilience{MaxAttempts: 1, TraceTail: -1}
+	}
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 3
 	}
@@ -86,6 +99,11 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	return r
 }
+
+// pooled reports whether a tile can move between cores: by a retry, or
+// by a core going bad while degraded tiles keep the run alive. Otherwise
+// each core only ever runs its own static tiles.
+func (r Resilience) pooled() bool { return r.MaxAttempts > 1 || r.Degrade }
 
 // DegradedTile reports one tile computed by the host-side golden model
 // after its hardware attempts were exhausted.
@@ -114,7 +132,7 @@ type retryJob struct {
 	prevSpan trace.SpanID
 }
 
-// resilientRun is the shared state of one resilient runTiles execution.
+// resilientRun is the shared state of one runTiles execution.
 type resilientRun struct {
 	chip *Chip
 	res  Resilience
@@ -140,12 +158,15 @@ type resilientRun struct {
 	bad       []bool
 }
 
-// runTilesResilient is the fault-tolerant counterpart of runTiles' static
-// fan-out. First attempts keep the static round-robin placement (so a
-// fault-free run is scheduled exactly like the default path); failures
-// are classified, retried on fresh cores through a shared requeue, and
-// optionally degraded to the golden model.
-func (c *Chip) runTilesResilient(rs *runScope, jobs []tileJob, run tileRun, fb tileFallback) ([][]tileResult, *Stats, error) {
+// runTiles fans the (n, c1) tile grid across simulated cores round-robin
+// and host goroutines, then aggregates stats: serial within a core,
+// parallel across cores. It is the chip's one tile executor: failures
+// are classified, retried on fresh cores through a shared requeue and
+// optionally degraded to the golden model as c.cfg.Resilience allows,
+// and a run-killing failure cancels every in-flight core. The run's
+// errors are joined into one; interruptions the abort itself caused are
+// left out.
+func (c *Chip) runTiles(rs *runScope, n, c1 int, run tileRun, fb tileFallback) ([][]tileResult, *Stats, error) {
 	parent := c.cfg.Context
 	if parent == nil {
 		parent = context.Background()
@@ -153,9 +174,10 @@ func (c *Chip) runTilesResilient(rs *runScope, jobs []tileJob, run tileRun, fb t
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
+	jobs := tileGrid(n, c1)
 	r := &resilientRun{
 		chip:      c,
-		res:       c.cfg.Resilience.withDefaults(),
+		res:       c.cfg.Resilience.settings(),
 		run:       run,
 		fb:        fb,
 		rs:        rs,
@@ -173,12 +195,16 @@ func (c *Chip) runTilesResilient(rs *runScope, jobs []tileJob, run tileRun, fb t
 	for i, j := range jobs {
 		perCore[i%c.cfg.Cores] = append(perCore[i%c.cfg.Cores], j)
 	}
+	pooled := r.res.pooled()
 	var wg sync.WaitGroup
 	for coreIdx := 0; coreIdx < c.cfg.Cores; coreIdx++ {
+		if len(perCore[coreIdx]) == 0 && !pooled {
+			continue // an idle worker could only wait for requeues
+		}
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			r.worker(idx, perCore[idx])
+			r.worker(idx, perCore[idx], pooled)
 		}(coreIdx)
 	}
 	wg.Wait()
@@ -210,9 +236,13 @@ func (c *Chip) runTilesResilient(rs *runScope, jobs []tileJob, run tileRun, fb t
 	return r.results, stats, nil
 }
 
-// worker is one core's host goroutine: static first attempts, then the
-// shared retry queue until all tiles are finalized (or the run aborts).
-func (r *resilientRun) worker(idx int, static []tileJob) {
+// worker is one core's host goroutine: static first attempts, then —
+// when tiles can move between cores — the shared retry queue until all
+// tiles are finalized (or the run aborts).
+func (r *resilientRun) worker(idx int, static []tileJob, pooled bool) {
+	// The worker's core, reused across its tiles until an attempt on it
+	// fails, and released with the worker.
+	var core *aicore.Core
 	for i, j := range static {
 		if r.exiting() {
 			return
@@ -223,14 +253,17 @@ func (r *resilientRun) worker(idx int, static []tileJob) {
 			r.reassign(idx, static[i:])
 			return
 		}
-		r.attempt(idx, retryJob{n: j.n, c1: j.c1, attempt: 1})
+		core = r.attempt(idx, core, retryJob{n: j.n, c1: j.c1, attempt: 1})
+	}
+	if !pooled {
+		return
 	}
 	for {
 		j, ok := r.pop(idx)
 		if !ok {
 			return
 		}
-		r.attempt(idx, j)
+		core = r.attempt(idx, core, j)
 	}
 }
 
@@ -265,17 +298,23 @@ func (r *resilientRun) pop(idx int) (retryJob, bool) {
 	}
 }
 
-// attempt runs one tile attempt on a fresh core with the watchdog armed
-// and (when configured) a fault injected, then classifies the outcome.
-func (r *resilientRun) attempt(idx int, j retryJob) {
+// attempt runs one tile attempt on the worker's core (a new one when
+// core is nil) with the watchdog armed and a fault injected when
+// configured, then classifies the outcome. It returns the core the
+// worker's next attempt may reuse: nil after a failed attempt, so fault
+// state never leaks across attempts.
+func (r *resilientRun) attempt(idx int, core *aicore.Core, j retryJob) *aicore.Core {
 	if r.ctx.Err() != nil {
 		// Already aborted: don't race the watchdog watcher to start an
 		// attempt that must not run.
 		r.noteAborted()
-		return
+		return core
 	}
 	c := r.chip
-	core := c.newCore()
+	if core == nil {
+		core = c.newCore()
+	}
+	core.Trace = nil
 	if r.res.TraceTail > 0 || r.rs.capturing(j.n, j.c1) {
 		core.Trace = &aicore.Trace{}
 	}
@@ -293,28 +332,36 @@ func (r *resilientRun) attempt(idx int, j retryJob) {
 		}
 	}
 
-	// Watchdog: a per-attempt cancel channel closed by a timer (hang) or
-	// by the run-wide context (fail-fast abort, caller cancellation).
-	cancelCh := make(chan struct{})
-	stopWatch := make(chan struct{})
+	// Without a watchdog the core observes the run-wide context directly.
+	// With one, it gets a per-attempt cancel channel closed by a timer
+	// (hang) or by the run-wide context (fail-fast abort, caller
+	// cancellation).
 	var wdFired atomic.Bool
-	core.Cancel = cancelCh
-	go func() {
-		timer := time.NewTimer(r.res.Watchdog)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			wdFired.Store(true)
-			close(cancelCh)
-		case <-r.ctx.Done():
-			close(cancelCh)
-		case <-stopWatch:
-		}
-	}()
+	core.Cancel = r.ctx.Done()
+	var stopWatch chan struct{}
+	if r.res.Enabled {
+		cancelCh := make(chan struct{})
+		stopWatch = make(chan struct{})
+		core.Cancel = cancelCh
+		go func() {
+			timer := time.NewTimer(r.res.Watchdog)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+				wdFired.Store(true)
+				close(cancelCh)
+			case <-r.ctx.Done():
+				close(cancelCh)
+			case <-stopWatch:
+			}
+		}()
+	}
 	start := time.Now()
 	outs, st, err := r.guardedRun(core, idx, j)
 	wall := time.Since(start).Nanoseconds()
-	close(stopWatch)
+	if stopWatch != nil {
+		close(stopWatch)
+	}
 
 	if err == nil {
 		if ts != nil {
@@ -329,7 +376,7 @@ func (r *resilientRun) attempt(idx int, j retryJob) {
 			r.rs.stashTrace(core.Trace)
 		}
 		r.finalizeSuccess(idx, j, outs, st)
-		return
+		return core
 	}
 	var spanID trace.SpanID
 	if ts != nil {
@@ -344,7 +391,7 @@ func (r *resilientRun) attempt(idx int, j retryJob) {
 	if r.ctx.Err() != nil && !wdFired.Load() {
 		// Casualty of the run-wide abort, not a failure of this tile.
 		r.noteAborted()
-		return
+		return nil
 	}
 	if te := r.classify(idx, j, core, err, wdFired.Load()); te != nil {
 		r.handleFailure(idx, j, te, spanID)
@@ -353,10 +400,11 @@ func (r *resilientRun) attempt(idx int, j retryJob) {
 		// shape). Retrying cannot help; fail the run.
 		r.setFatal(fmt.Errorf("chip: core %d tile (%d,%d): %w", idx, j.n, j.c1, err))
 	}
+	return nil
 }
 
-// guardedRun invokes the tile closure with panic containment (satellite:
-// a panicking worker becomes a typed error, not a crashed process).
+// guardedRun invokes the tile closure with panic containment: a
+// panicking tile becomes a typed error, not a crashed process.
 func (r *resilientRun) guardedRun(core *aicore.Core, idx int, j retryJob) (outs []*tensor.Tensor, st *aicore.Stats, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -597,12 +645,13 @@ func (r *resilientRun) setFatal(err error) {
 }
 
 // noteAborted records the caller's cancellation (once) when an attempt
-// died from the run-wide abort rather than its own failure.
+// died from the run-wide abort rather than its own failure. The error
+// wraps both the context's error and aicore.ErrInterrupted.
 func (r *resilientRun) noteAborted() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.fatal) == 0 {
-		r.fatal = append(r.fatal, fmt.Errorf("chip: run aborted: %w", r.ctx.Err()))
+		r.fatal = append(r.fatal, fmt.Errorf("chip: run aborted: %w: %w", r.ctx.Err(), aicore.ErrInterrupted))
 		r.cond.Broadcast()
 	}
 }

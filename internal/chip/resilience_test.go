@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,90 +287,170 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // TestPanicExhaustion: a tile that panics on every attempt fails the run
-// with a typed ErrTilePanic carrying the core index, tile and stack.
+// with a typed ErrTilePanic carrying the core index, tile and stack —
+// under the zero Resilience too, where the tile gets a single attempt.
 func TestPanicExhaustion(t *testing.T) {
-	c := New(Config{Cores: 2, Resilience: Resilience{
-		Enabled: true, MaxAttempts: 2, Watchdog: time.Second, CoreFailLimit: 1 << 30,
-	}})
-	_, _, err := c.runTiles(nil, 1, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		if ci == 0 {
-			panic("always broken")
-		}
-		return []*tensor.Tensor{tensor.New(1)}, &aicore.Stats{}, nil
-	}, nil)
-	if !errors.Is(err, ErrTilePanic) {
-		t.Fatalf("err %v does not match ErrTilePanic", err)
-	}
-	var te *TileError
-	if !errors.As(err, &te) {
-		t.Fatalf("err %v carries no *TileError", err)
-	}
-	if te.N != 0 || te.C1 != 0 {
-		t.Errorf("panic attributed to tile (%d,%d), want (0,0)", te.N, te.C1)
-	}
-	if len(te.Stack) == 0 {
-		t.Error("panic error carries no stack")
+	for _, tc := range []struct {
+		name string
+		res  Resilience
+	}{
+		{"default", Resilience{}},
+		{"resilient", Resilience{Enabled: true, MaxAttempts: 2, Watchdog: time.Second, CoreFailLimit: 1 << 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{Cores: 2, Resilience: tc.res})
+			_, _, err := c.runTiles(nil, 1, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+				if ci == 0 {
+					panic("always broken")
+				}
+				return []*tensor.Tensor{tensor.New(1)}, &aicore.Stats{}, nil
+			}, nil)
+			if !errors.Is(err, ErrTilePanic) {
+				t.Fatalf("err %v does not match ErrTilePanic", err)
+			}
+			var te *TileError
+			if !errors.As(err, &te) {
+				t.Fatalf("err %v carries no *TileError", err)
+			}
+			if te.N != 0 || te.C1 != 0 {
+				t.Errorf("panic attributed to tile (%d,%d), want (0,0)", te.N, te.C1)
+			}
+			if len(te.Stack) == 0 {
+				t.Error("panic error carries no stack")
+			}
+		})
 	}
 }
 
-// TestContextCancelLegacy: with Config.Context cancelled, the default
-// (non-resilient) path aborts in-flight cores instead of completing.
-func TestContextCancelLegacy(t *testing.T) {
+// TestContextCancel: with Config.Context already cancelled, both the
+// zero Resilience and the fault-tolerant executor abort instead of
+// completing, reporting the abortion once with an error that wraps both
+// context.Canceled and aicore.ErrInterrupted.
+func TestContextCancel(t *testing.T) {
 	p, c1 := chaosLayer()
 	in := chaosInput(t, p, 1, c1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(Config{Cores: 2, Context: ctx})
-	_, _, err := c.MaxPoolForward("im2col", in, p)
-	if err == nil {
-		t.Fatal("cancelled context, yet the run completed")
-	}
-	if !errors.Is(err, aicore.ErrInterrupted) {
-		t.Fatalf("err %v does not wrap aicore.ErrInterrupted", err)
+	for _, tc := range []struct {
+		name string
+		res  Resilience
+	}{
+		{"default", Resilience{}},
+		{"resilient", Resilience{Enabled: true, Watchdog: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			c := New(Config{Cores: 2, Context: ctx, Resilience: tc.res})
+			_, _, err := c.MaxPoolForward("im2col", in, p)
+			if err == nil {
+				t.Fatal("cancelled context, yet the run completed")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err %v does not wrap context.Canceled", err)
+			}
+			if !errors.Is(err, aicore.ErrInterrupted) {
+				t.Errorf("err %v does not wrap aicore.ErrInterrupted", err)
+			}
+			if n := strings.Count(err.Error(), "aborted"); n != 1 {
+				t.Errorf("abortion reported %d times in %v, want once", n, err)
+			}
+		})
 	}
 }
 
-// TestContextCancelResilient: the resilient executor honors the caller's
-// context too, reporting the abortion once rather than per tile.
-func TestContextCancelResilient(t *testing.T) {
-	p, c1 := chaosLayer()
-	in := chaosInput(t, p, 1, c1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(Config{Cores: 2, Context: ctx, Resilience: Resilience{Enabled: true, Watchdog: time.Second}})
-	_, _, err := c.MaxPoolForward("im2col", in, p)
-	if err == nil {
-		t.Fatal("cancelled context, yet the run completed")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v does not wrap context.Canceled", err)
-	}
-}
-
-// TestFailFastCancelsInFlight: with a context armed, a deterministic tile
-// failure cancels the other cores' remaining work (satellite: early abort
-// through runTiles).
+// TestFailFastCancelsInFlight: a deterministic tile failure cancels the
+// other cores' in-flight work, with or without a caller context, and the
+// joined error carries only the primary failure.
 func TestFailFastCancelsInFlight(t *testing.T) {
-	c := New(Config{Cores: 2, Context: context.Background()})
-	boom := errors.New("deterministic tile bug")
-	var ran atomic.Int32
-	_, _, err := c.runTiles(nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		ran.Add(1)
-		if ni == 0 && ci == 0 {
-			return nil, nil, boom
-		}
-		// Park until cancelled so the test observes the abort, not a race.
-		if core.Cancel != nil {
-			<-core.Cancel
-		}
-		return nil, nil, aicore.ErrInterrupted
-	}, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err %v does not surface the primary failure", err)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"context", context.Background()},
+		{"no-context", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{Cores: 2, Context: tc.ctx})
+			boom := errors.New("deterministic tile bug")
+			_, _, err := c.runTiles(nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+				if ni == 0 && ci == 0 {
+					return nil, nil, boom
+				}
+				// Park until cancelled so the test observes the abort, not
+				// a race; a nil Cancel would park forever.
+				<-core.Cancel
+				return nil, nil, aicore.ErrInterrupted
+			}, nil)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err %v does not surface the primary failure", err)
+			}
+			if errors.Is(err, aicore.ErrInterrupted) {
+				t.Errorf("joined error %v leaks secondary interruption casualties", err)
+			}
+		})
 	}
-	if errors.Is(err, aicore.ErrInterrupted) {
-		t.Errorf("joined error %v leaks secondary interruption casualties", err)
+}
+
+// coreRecorder is a runTiles closure that records the distinct cores it
+// runs on. With failOnce set, tile (0,1)'s first attempt panics — a
+// retryable failure — and the core of each of its attempts is kept.
+type coreRecorder struct {
+	failOnce bool
+
+	mu        sync.Mutex
+	seen      map[*aicore.Core]bool
+	failedOn  *aicore.Core
+	retriedOn *aicore.Core
+}
+
+func (r *coreRecorder) run(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	r.mu.Lock()
+	r.seen[core] = true
+	fail := false
+	if r.failOnce && ni == 0 && ci == 1 {
+		if r.failedOn == nil {
+			r.failedOn, fail = core, true
+		} else {
+			r.retriedOn = core
+		}
 	}
+	r.mu.Unlock()
+	if fail {
+		panic("tile (0,1) fails once")
+	}
+	return []*tensor.Tensor{tensor.New(1)}, &aicore.Stats{Cycles: 1}, nil
+}
+
+// TestCoreReuse pins the executor's core lifecycle: each busy worker
+// reuses one core across its tiles and takes a fresh core only after a
+// failed attempt, and a retry never lands on the core that failed.
+func TestCoreReuse(t *testing.T) {
+	t.Run("default", func(t *testing.T) {
+		rec := &coreRecorder{seen: map[*aicore.Core]bool{}}
+		if _, _, err := New(Config{Cores: 2}).runTiles(nil, 1, 8, rec.run, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.seen) != 2 {
+			t.Errorf("2 cores over 8 tiles used %d distinct cores, want 2", len(rec.seen))
+		}
+	})
+	t.Run("resilient", func(t *testing.T) {
+		rec := &coreRecorder{failOnce: true, seen: map[*aicore.Core]bool{}}
+		c := New(Config{Cores: 2, Resilience: Resilience{
+			Enabled: true, Watchdog: time.Second, CoreFailLimit: 1 << 30,
+		}})
+		if _, _, err := c.runTiles(nil, 1, 8, rec.run, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rec.failedOn == nil || rec.retriedOn == nil {
+			t.Fatal("tile (0,1) did not fail and retry")
+		}
+		if rec.retriedOn == rec.failedOn {
+			t.Error("the retry ran on the core that failed")
+		}
+		if len(rec.seen) != 3 {
+			t.Errorf("one failed attempt on 2 cores used %d distinct cores, want 3", len(rec.seen))
+		}
+	})
 }
 
 // TestValidateAtEntryPoints: malformed ConvParams are rejected before any

@@ -1,12 +1,10 @@
 package ops
 
 import (
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // planMaxPoolFwdArgmaxIm2col compiles the Fig. 7b accelerated
@@ -85,29 +83,6 @@ func planMaxPoolFwdArgmaxIm2col(spec Spec, p isa.ConvParams, sp ScheduleParams) 
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}
 	return plan, nil
-}
-
-// MaxPoolFwdArgmaxIm2col is the Fig. 7b accelerated implementation as a
-// one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForwardArgmax (or a PlanCache)
-// and replay the plan per tile; this wrapper compiles through SharedPlans
-// and runs in one call.
-func MaxPoolFwdArgmaxIm2col(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForwardArgmax(trace.Ctx{}, "im2col", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return runArgmax(pl, core, in)
-}
-
-// runArgmax replays a (out, mask) plan on core.
-func runArgmax(pl *Plan, core *aicore.Core, in *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, *aicore.Stats, error) {
-	outs, st, err := pl.Run(core, in)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return outs[0], outs[1], st, nil
 }
 
 // planMaxPoolFwdArgmaxStandard compiles the baseline of Fig. 7b: the
@@ -235,17 +210,4 @@ func planMaxPoolFwdArgmaxStandard(spec Spec, p isa.ConvParams, sp ScheduleParams
 		Mode: sp.Mode, Band: band, Buffers: buffers, Saturate: resolvedSaturate(saturated),
 	}
 	return pl, nil
-}
-
-// MaxPoolFwdArgmaxStandard is the baseline of Fig. 7b as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForwardArgmax (or a PlanCache)
-// and replay the plan per tile; this wrapper compiles through SharedPlans
-// and runs in one call.
-func MaxPoolFwdArgmaxStandard(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForwardArgmax(trace.Ctx{}, "standard", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return runArgmax(pl, core, in)
 }

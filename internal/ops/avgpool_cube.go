@@ -1,10 +1,8 @@
 package ops
 
 import (
-	"davinci/internal/aicore"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // planAvgPoolFwdCube compiles average pooling on the Cube unit by mapping
@@ -72,25 +70,4 @@ func planAvgPoolFwdCube(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, 
 		return convBind([]*tensor.Tensor{in, w})
 	}
 	return pl, nil
-}
-
-// AvgPoolFwdCube computes average pooling on the Cube unit as a one-shot
-// call.
-//
-// Deprecated: compile once with PlanAvgPoolForward("cube", ...) (or a
-// PlanCache) and replay the plan per tile; this wrapper compiles through
-// SharedPlans and runs in one call.
-func AvgPoolFwdCube(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.AvgPoolForward(trace.Ctx{}, "cube", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
-}
-
-// init registers the Cube variant alongside the vector implementations so
-// benchmarks and the CLI can select it by name.
-func init() {
-	AvgForward["cube"] = AvgPoolFwdCube
-	avgForwardPlanners["cube"] = planAvgPoolFwdCube
 }

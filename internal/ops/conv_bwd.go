@@ -3,12 +3,10 @@ package ops
 import (
 	"fmt"
 
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // PackWeightsBackward converts (Co, C, Kh, Kw) weights into the transposed
@@ -244,23 +242,4 @@ func PlanConv2DBackwardData(spec Spec, p isa.ConvParams, co, c int) (*Plan, erro
 		return []*tensor.Tensor{padGrad(grad, ow, patches, padded), PackWeightsBackward(weights, p)}, nil
 	}
 	return pl, nil
-}
-
-// Conv2DBackwardData propagates gradients through a convolution to its
-// input as a one-shot call. grad has shape (1, Co1, Oh, Ow, C0); weights
-// (Co, C, Kh, Kw); the result has shape (1, C1, Ih, Iw, C0) for c logical
-// input channels.
-//
-// Deprecated: compile once with PlanConv2DBackwardData (or a PlanCache)
-// and replay the plan per tile; this wrapper compiles through SharedPlans
-// and runs in one call.
-func Conv2DBackwardData(core *aicore.Core, grad, weights *tensor.Tensor, p isa.ConvParams, c int) (*tensor.Tensor, *aicore.Stats, error) {
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("ops: conv bwd wants (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-	}
-	pl, err := SharedPlans.Conv2DBackwardData(trace.Ctx{}, SpecFor(core), p, weights.Shape[0], c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, grad, weights)
 }

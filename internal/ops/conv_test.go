@@ -4,10 +4,34 @@ import (
 	"math/rand"
 	"testing"
 
+	"davinci/internal/aicore"
 	"davinci/internal/isa"
 	"davinci/internal/ref"
 	"davinci/internal/tensor"
 )
+
+// runConv runs convolution on core, sized from the weights' (Co, C).
+func runConv(core *aicore.Core, in, weights *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
+	return first(runPlan(core, func(spec Spec) (*Plan, error) {
+		return PlanConv2D(spec, p, weights.Shape[0], weights.Shape[1])
+	}, in, weights))
+}
+
+// runConvBwdData runs the convolution data gradient on core for c logical
+// input channels.
+func runConvBwdData(core *aicore.Core, grad, weights *tensor.Tensor, p isa.ConvParams, c int) (*tensor.Tensor, *aicore.Stats, error) {
+	return first(runPlan(core, func(spec Spec) (*Plan, error) {
+		return PlanConv2DBackwardData(spec, p, weights.Shape[0], c)
+	}, grad, weights))
+}
+
+// runConvBwdWeights runs the convolution weight gradient on core for
+// co x c logical channels.
+func runConvBwdWeights(core *aicore.Core, grad, x *tensor.Tensor, p isa.ConvParams, co, c int) (*tensor.Tensor, *aicore.Stats, error) {
+	return first(runPlan(core, func(spec Spec) (*Plan, error) {
+		return PlanConv2DBackwardWeights(spec, p, co, c)
+	}, grad, x))
+}
 
 func convTolerance(a, b *tensor.Tensor, tol float64, t *testing.T, label string) {
 	t.Helper()
@@ -41,7 +65,7 @@ func TestConvMatchesReference(t *testing.T) {
 		weights := tensor.New(tc.co, tc.c, tc.p.Kh, tc.p.Kw)
 		weights.FillRandom(rng, 1)
 
-		got, st, err := Conv2DIm2colCube(newTestCore(), in, weights, tc.p)
+		got, st, err := runConv(newTestCore(), in, weights, tc.p)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.p, err)
 		}
@@ -68,7 +92,7 @@ func TestConvIdentity(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		w.Set(0x3c00, i, i, 0, 0) // 1.0
 	}
-	got, _, err := Conv2DIm2colCube(newTestCore(), in, w, p)
+	got, _, err := runConv(newTestCore(), in, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +112,7 @@ func TestConvRejectsOversizedWeights(t *testing.T) {
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
 	in := tensor.New(1, 8, 8, 8, tensor.C0)
 	w := tensor.New(256, 128, 3, 3) // 72 K-fractals x 16 N-fractals > 64 KiB
-	if _, _, err := Conv2DIm2colCube(newTestCore(), in, w, p); err == nil {
+	if _, _, err := runConv(newTestCore(), in, w, p); err == nil {
 		t.Error("oversized weights accepted")
 	}
 }

@@ -65,40 +65,22 @@ func TestPoolingKernelsLintClean(t *testing.T) {
 		grad := tensor.New(1, 1, oh, ow, tensor.C0)
 		grad.FillRandom(rand.New(rand.NewSource(int64(p.Ih))), 4)
 
-		for name, fn := range MaxForward {
-			core, progs := captureCore()
-			if _, _, err := fn(core, in, p); err != nil {
-				t.Fatalf("max/%s %+v: %v", name, p, err)
-			}
-			assertProgsClean(t, "max/"+name, *progs)
+		inputs := map[string][]*tensor.Tensor{
+			"maxpool_fwd":        {in},
+			"maxpool_fwd_argmax": {in},
+			"maxpool_bwd":        {mask, grad},
+			"avgpool_fwd":        {in},
+			"avgpool_bwd":        {grad},
 		}
-		for name, fn := range MaxForwardArgmax {
-			core, progs := captureCore()
-			if _, _, _, err := fn(core, in, p); err != nil {
-				t.Fatalf("argmax/%s %+v: %v", name, p, err)
+		for _, family := range KernelFamilies() {
+			for _, variant := range KernelVariants(family) {
+				kernel := family + "/" + variant
+				core, progs := captureCore()
+				if _, _, err := runPlan(core, pooling(kernel, p), inputs[family]...); err != nil {
+					t.Fatalf("%s %+v: %v", kernel, p, err)
+				}
+				assertProgsClean(t, kernel, *progs)
 			}
-			assertProgsClean(t, "argmax/"+name, *progs)
-		}
-		for name, fn := range MaxBackward {
-			core, progs := captureCore()
-			if _, _, err := fn(core, mask, grad, p); err != nil {
-				t.Fatalf("maxbwd/%s %+v: %v", name, p, err)
-			}
-			assertProgsClean(t, "maxbwd/"+name, *progs)
-		}
-		for name, fn := range AvgForward {
-			core, progs := captureCore()
-			if _, _, err := fn(core, in, p); err != nil {
-				t.Fatalf("avg/%s %+v: %v", name, p, err)
-			}
-			assertProgsClean(t, "avg/"+name, *progs)
-		}
-		for _, useCol2im := range []bool{false, true} {
-			core, progs := captureCore()
-			if _, _, err := AvgPoolBackward(core, grad, p, useCol2im); err != nil {
-				t.Fatalf("avgbwd/col2im=%v %+v: %v", useCol2im, p, err)
-			}
-			assertProgsClean(t, "avgbwd", *progs)
 		}
 	}
 }
@@ -116,26 +98,26 @@ func TestCubeKernelsLintClean(t *testing.T) {
 	grad.FillRandom(rng, 1)
 
 	core, progs := captureCore()
-	if _, _, err := Conv2DIm2colCube(core, in, weights, p); err != nil {
+	if _, _, err := runConv(core, in, weights, p); err != nil {
 		t.Fatalf("conv fwd: %v", err)
 	}
 	assertProgsClean(t, "conv/fwd", *progs)
 
 	core, progs = captureCore()
-	if _, _, err := Conv2DBackwardData(core, grad, weights, p, c); err != nil {
+	if _, _, err := runConvBwdData(core, grad, weights, p, c); err != nil {
 		t.Fatalf("conv bwd data: %v", err)
 	}
 	assertProgsClean(t, "conv/bwd-data", *progs)
 
 	core, progs = captureCore()
-	if _, _, err := Conv2DBackwardWeights(core, grad, in, p, co, c); err != nil {
+	if _, _, err := runConvBwdWeights(core, grad, in, p, co, c); err != nil {
 		t.Fatalf("conv bwd weights: %v", err)
 	}
 	assertProgsClean(t, "conv/bwd-weights", *progs)
 
 	pool := isa.ConvParams{Ih: 20, Iw: 20, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
 	core, progs = captureCore()
-	if _, _, err := AvgPoolFwdCube(core, randTile(3, pool), pool); err != nil {
+	if _, _, err := runKernel(core, "avgpool_fwd/cube", pool, randTile(3, pool)); err != nil {
 		t.Fatalf("avg cube: %v", err)
 	}
 	assertProgsClean(t, "avg/cube", *progs)
@@ -159,25 +141,25 @@ func TestWorkloadProgramsLintClean(t *testing.T) {
 		label := l.Network + "/" + string(rune('0'+l.Index))
 
 		core, progs := captureCore()
-		if _, _, err := MaxPoolFwdIm2col(core, in, p); err != nil {
+		if _, _, err := runKernel(core, "maxpool_fwd/im2col", p, in); err != nil {
 			t.Fatalf("%s fwd: %v", label, err)
 		}
 		assertProgsClean(t, label+"/im2col", *progs)
 
 		core, progs = captureCore()
-		if _, _, _, err := MaxPoolFwdArgmaxIm2col(core, in, p); err != nil {
+		if _, _, err := runPlan(core, pooling("maxpool_fwd_argmax/im2col", p), in); err != nil {
 			t.Fatalf("%s argmax: %v", label, err)
 		}
 		assertProgsClean(t, label+"/argmax-im2col", *progs)
 
 		core, progs = captureCore()
-		if _, _, err := MaxPoolBwdCol2im(core, mask, grad, p); err != nil {
+		if _, _, err := runKernel(core, "maxpool_bwd/col2im", p, mask, grad); err != nil {
 			t.Fatalf("%s bwd: %v", label, err)
 		}
 		assertProgsClean(t, label+"/col2im", *progs)
 
 		core, progs = captureCore()
-		if _, _, err := AvgPoolFwdIm2col(core, in, p); err != nil {
+		if _, _, err := runKernel(core, "avgpool_fwd/im2col", p, in); err != nil {
 			t.Fatalf("%s avg: %v", label, err)
 		}
 		assertProgsClean(t, label+"/avg-im2col", *progs)
@@ -191,7 +173,7 @@ func capturedIm2colProgram(t *testing.T) *cce.Program {
 	t.Helper()
 	p := isa.ConvParams{Ih: 35, Iw: 35, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	core, progs := captureCore()
-	if _, _, err := MaxPoolFwdIm2col(core, randTile(5, p), p); err != nil {
+	if _, _, err := runKernel(core, "maxpool_fwd/im2col", p, randTile(5, p)); err != nil {
 		t.Fatal(err)
 	}
 	if len(*progs) == 0 {

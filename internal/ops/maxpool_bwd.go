@@ -3,13 +3,11 @@ package ops
 import (
 	"fmt"
 
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/scu"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // bwdPlan is the shared schedule of the backward kernels: fractal-aligned
@@ -215,20 +213,6 @@ func planMaxPoolBwdStandard(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pl
 	return plan, nil
 }
 
-// MaxPoolBwdStandard is the standard TVM Maxpool backward (Listing 3,
-// §V-B) as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolBackward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func MaxPoolBwdStandard(core *aicore.Core, mask, grad *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolBackward(trace.Ctx{}, "standard", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, mask, grad)
-}
-
 // planMaxPoolBwdCol2im compiles the accelerated backward (§V-B): the merge
 // step is exactly the Col2im operation, so Col2Im instructions replace the
 // 16-lane vadds — vectorizing over a whole fractal at a time with
@@ -261,17 +245,4 @@ func planMaxPoolBwdCol2im(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}
 	return plan, nil
-}
-
-// MaxPoolBwdCol2im is the accelerated backward (§V-B) as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolBackward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func MaxPoolBwdCol2im(core *aicore.Core, mask, grad *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolBackward(trace.Ctx{}, "col2im", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, mask, grad)
 }

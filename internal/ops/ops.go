@@ -11,9 +11,11 @@
 // compiles the shape-dependent schedule into an immutable Plan — the
 // lowered cce.Program (the CCE C instruction stream described in the paper
 // for each variant) plus its buffer layout — and Plan.Run replays it on a
-// core for one tile's data, returning the result plus timing stats. The
-// legacy one-shot entry points (MaxPoolFwdIm2col, ...) remain as wrappers
-// that compile through the process-wide SharedPlans cache and run.
+// core for one tile's data, returning the result plus timing stats. Every
+// pooling lowering is reached through one dispatch table, kernelFamilies,
+// keyed "family/variant" (CompileKernel, the Plan* constructors and the
+// PlanCache methods all resolve through it); convolution has its own
+// PlanConv2D* constructors.
 //
 // All variants share the zero-padding convention of the Im2Col instruction:
 // padded positions contribute zeros (see internal/ref).
@@ -30,51 +32,6 @@ import (
 
 // Block is the byte size of one C0 row (16 Float16 elements).
 const Block = isa.ElemsPerBlock * fp16.Bytes
-
-// ForwardFunc is a forward pooling kernel over one tile. The registered
-// implementations are thin wrappers over plans: they compile through
-// SharedPlans (once per shape) and replay.
-type ForwardFunc func(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error)
-
-// ArgmaxFunc is a forward pooling kernel that also produces the argmax
-// mask in the Im2Col shape (1, 1, Kh, Kw, OhOw16, C0). Registered
-// implementations wrap plans, like ForwardFunc.
-type ArgmaxFunc func(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (out, mask *tensor.Tensor, st *aicore.Stats, err error)
-
-// BackwardFunc is a backward pooling kernel: mask is in the Im2Col shape,
-// grad has shape (1, 1, Oh, Ow, C0), the result has shape (1, 1, Ih, Iw, C0).
-// Registered implementations wrap plans, like ForwardFunc.
-type BackwardFunc func(core *aicore.Core, mask, grad *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error)
-
-// Registries of the evaluated implementations, keyed by the names used in
-// the figures (§VI). Callers that replay a shape repeatedly should prefer
-// the Plan* constructors (plan.go), which skip the per-call cache lookup
-// and bind/validate work the wrappers pay.
-var (
-	// MaxForward holds the four forward Maxpool implementations of Fig. 8.
-	MaxForward = map[string]ForwardFunc{
-		"standard":  MaxPoolFwdStandard,
-		"im2col":    MaxPoolFwdIm2col,
-		"expansion": MaxPoolFwdExpansion,
-		"xysplit":   MaxPoolFwdXYSplit,
-	}
-	// MaxForwardArgmax holds the Fig. 7b implementations (forward +
-	// argmax mask).
-	MaxForwardArgmax = map[string]ArgmaxFunc{
-		"standard": MaxPoolFwdArgmaxStandard,
-		"im2col":   MaxPoolFwdArgmaxIm2col,
-	}
-	// MaxBackward holds the Fig. 7c implementations.
-	MaxBackward = map[string]BackwardFunc{
-		"standard": MaxPoolBwdStandard,
-		"col2im":   MaxPoolBwdCol2im,
-	}
-	// AvgForward holds the Avgpool forward implementations (§V-C).
-	AvgForward = map[string]ForwardFunc{
-		"standard": AvgPoolFwdStandard,
-		"im2col":   AvgPoolFwdIm2col,
-	}
-)
 
 // checkTile validates the single-tile input convention.
 func checkTile(in *tensor.Tensor, p isa.ConvParams) error {

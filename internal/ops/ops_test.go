@@ -40,13 +40,44 @@ func randTile(seed int64, p isa.ConvParams) *tensor.Tensor {
 	return in
 }
 
+// runPlan compiles a plan for core's buffer configuration (SpecFor) and
+// replays it on core with inputs.
+func runPlan(core *aicore.Core, compile func(Spec) (*Plan, error), inputs ...*tensor.Tensor) ([]*tensor.Tensor, *aicore.Stats, error) {
+	pl, err := compile(SpecFor(core))
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl.Run(core, inputs...)
+}
+
+// pooling is the compile step of a pooling kernel ("family/variant", e.g.
+// "maxpool_fwd/im2col") under its default schedule.
+func pooling(kernel string, p isa.ConvParams) func(Spec) (*Plan, error) {
+	return func(spec Spec) (*Plan, error) {
+		return CompileKernel(kernel, spec, p, ScheduleParams{})
+	}
+}
+
+// first keeps a run's first output.
+func first(outs []*tensor.Tensor, st *aicore.Stats, err error) (*tensor.Tensor, *aicore.Stats, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], st, nil
+}
+
+// runKernel runs a single-output pooling kernel on core.
+func runKernel(core *aicore.Core, kernel string, p isa.ConvParams, inputs ...*tensor.Tensor) (*tensor.Tensor, *aicore.Stats, error) {
+	return first(runPlan(core, pooling(kernel, p), inputs...))
+}
+
 func TestMaxForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		want := ref.MaxPoolForward(randTile(int64(p.Ih*100+p.Iw), p), p)
-		for name, fn := range MaxForward {
+		for _, name := range KernelVariants("maxpool_fwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
 				in := randTile(int64(p.Ih*100+p.Iw), p)
-				got, st, err := fn(core, in, p)
+				got, st, err := runKernel(core, "maxpool_fwd/"+name, p, in)
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
@@ -65,8 +96,8 @@ func TestAvgForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		in := randTile(int64(p.Ih*31+p.Iw), p)
 		want := ref.AvgPoolForward(in, p)
-		for name, fn := range AvgForward {
-			got, _, err := fn(newTestCore(), in.Clone(), p)
+		for _, name := range KernelVariants("avgpool_fwd") {
+			got, _, err := runKernel(newTestCore(), "avgpool_fwd/"+name, p, in.Clone())
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, p, err)
 			}
@@ -84,13 +115,13 @@ func TestAvgForwardVariantsMatchReference(t *testing.T) {
 	}
 }
 
-// AvgPoolFwdCube is the §VIII future-work extension: avgpool as Cube-unit
+// avgpool_fwd/cube is the §VIII future-work extension: avgpool as Cube-unit
 // convolution. It must use the Cube pipe and be numerically close to the
 // vector variants.
 func TestAvgPoolCubeUsesCubeUnit(t *testing.T) {
 	p := isa.ConvParams{Ih: 20, Iw: 20, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(9, p)
-	out, st, err := AvgPoolFwdCube(newTestCore(), in, p)
+	out, st, err := runKernel(newTestCore(), "avgpool_fwd/cube", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +143,13 @@ func TestArgmaxVariantsMatchReference(t *testing.T) {
 		in := randTile(int64(p.Ih*7+p.Iw), p)
 		wantOut := ref.MaxPoolForward(in, p)
 		wantMask := ref.ArgmaxMask(in, p)
-		for name, fn := range MaxForwardArgmax {
+		for _, name := range KernelVariants("maxpool_fwd_argmax") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
-				out, mask, _, err := fn(core, in.Clone(), p)
+				outs, _, err := runPlan(core, pooling("maxpool_fwd_argmax/"+name, p), in.Clone())
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
+				out, mask := outs[0], outs[1]
 				if tensor.MaxAbsDiff(out, wantOut) != 0 {
 					t.Errorf("%s %+v: output diverges", name, p)
 				}
@@ -140,9 +172,9 @@ func TestBackwardVariantsMatchReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(5))))
 		}
 		want := ref.MaxPoolBackward(mask, grad, p, p.Ih, p.Iw)
-		for name, fn := range MaxBackward {
+		for _, name := range KernelVariants("maxpool_bwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
-				got, st, err := fn(core, mask.Clone(), grad.Clone(), p)
+				got, st, err := runKernel(core, "maxpool_bwd/"+name, p, mask.Clone(), grad.Clone())
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
@@ -166,13 +198,13 @@ func TestAvgBackwardMatchesReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(8))))
 		}
 		want := ref.AvgPoolBackward(grad, p, p.Ih, p.Iw)
-		for _, useCol2im := range []bool{false, true} {
-			got, _, err := AvgPoolBackward(newTestCore(), grad.Clone(), p, useCol2im)
+		for _, name := range KernelVariants("avgpool_bwd") {
+			got, _, err := runKernel(newTestCore(), "avgpool_bwd/"+name, p, grad.Clone())
 			if err != nil {
-				t.Fatalf("col2im=%v %+v: %v", useCol2im, p, err)
+				t.Fatalf("%s %+v: %v", name, p, err)
 			}
 			if tensor.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("col2im=%v %+v: diverges from reference", useCol2im, p)
+				t.Errorf("%s %+v: diverges from reference", name, p)
 			}
 		}
 	}
@@ -186,8 +218,8 @@ func TestSpeedupShape(t *testing.T) {
 	in := randTile(1, p)
 
 	cycles := map[string]int64{}
-	for name, fn := range MaxForward {
-		_, st, err := fn(newTestCore(), in, p)
+	for _, name := range KernelVariants("maxpool_fwd") {
+		_, st, err := runKernel(newTestCore(), "maxpool_fwd/"+name, p, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +238,11 @@ func TestSpeedupShape(t *testing.T) {
 	// Stride (1, 1): the direct implementation wins (Fig. 8a).
 	p1 := isa.ConvParams{Ih: 41, Iw: 41, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
 	in1 := randTile(2, p1)
-	_, stStd, err := MaxPoolFwdStandard(newTestCore(), in1, p1)
+	_, stStd, err := runKernel(newTestCore(), "maxpool_fwd/standard", p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stIm, err := MaxPoolFwdIm2col(newTestCore(), in1, p1)
+	_, stIm, err := runKernel(newTestCore(), "maxpool_fwd/im2col", p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +255,11 @@ func TestSpeedupShape(t *testing.T) {
 	oh, ow := p.OutDims()
 	grad := tensor.New(1, 1, oh, ow, tensor.C0)
 	grad.Fill(fp16.One)
-	_, stBwdStd, err := MaxPoolBwdStandard(newTestCore(), mask, grad, p)
+	_, stBwdStd, err := runKernel(newTestCore(), "maxpool_bwd/standard", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBwdCi, err := MaxPoolBwdCol2im(newTestCore(), mask, grad, p)
+	_, stBwdCi, err := runKernel(newTestCore(), "maxpool_bwd/col2im", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,24 +272,24 @@ func TestRejectsBadInputs(t *testing.T) {
 	core := newTestCore()
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
 	// Wrong tile rank.
-	if _, _, err := MaxPoolFwdStandard(core, tensor.New(8, 8), p); err == nil {
+	if _, _, err := runKernel(core, "maxpool_fwd/standard", p, tensor.New(8, 8)); err == nil {
 		t.Error("wrong rank accepted")
 	}
 	// Tile/params mismatch.
-	if _, _, err := MaxPoolFwdIm2col(core, tensor.New(1, 1, 9, 8, tensor.C0), p); err == nil {
+	if _, _, err := runKernel(core, "maxpool_fwd/im2col", p, tensor.New(1, 1, 9, 8, tensor.C0)); err == nil {
 		t.Error("mismatched tile accepted")
 	}
 	// Invalid params.
 	bad := p
 	bad.Sh = 0
-	if _, _, err := MaxPoolFwdStandard(core, tensor.New(1, 1, 8, 8, tensor.C0), bad); err == nil {
+	if _, _, err := runKernel(core, "maxpool_fwd/standard", bad, tensor.New(1, 1, 8, 8, tensor.C0)); err == nil {
 		t.Error("invalid params accepted")
 	}
 	// Backward shape checks.
-	if _, _, err := MaxPoolBwdCol2im(core, tensor.New(1, 1, 3, 3, 16, tensor.C0), tensor.New(1, 1, 4, 4, tensor.C0), p); err == nil {
+	if _, _, err := runKernel(core, "maxpool_bwd/col2im", p, tensor.New(1, 1, 3, 3, 16, tensor.C0), tensor.New(1, 1, 4, 4, tensor.C0)); err == nil {
 		t.Error("bad mask shape accepted")
 	}
-	if _, _, err := MaxPoolBwdStandard(core, tensor.New(1, 1, 2, 2, 16, tensor.C0), tensor.New(1, 1, 4, 5, tensor.C0), p); err == nil {
+	if _, _, err := runKernel(core, "maxpool_bwd/standard", p, tensor.New(1, 1, 2, 2, 16, tensor.C0), tensor.New(1, 1, 4, 5, tensor.C0)); err == nil {
 		t.Error("bad grad shape accepted")
 	}
 }
@@ -266,11 +298,11 @@ func TestRejectsBadInputs(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	p := isa.ConvParams{Ih: 20, Iw: 20, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(5, p)
-	_, st1, err := MaxPoolFwdIm2col(newTestCore(), in, p)
+	_, st1, err := runKernel(newTestCore(), "maxpool_fwd/im2col", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := MaxPoolFwdIm2col(newTestCore(), in.Clone(), p)
+	_, st2, err := runKernel(newTestCore(), "maxpool_fwd/im2col", p, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

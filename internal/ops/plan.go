@@ -66,9 +66,9 @@ type Spec struct {
 	AutoSchedule bool
 }
 
-// SpecFor derives the Spec matching an existing core, so the legacy
-// one-shot kernel entry points compile plans equivalent to what they would
-// have emitted against that core.
+// SpecFor derives the Spec matching an existing core: its buffer
+// capacities and strictness, so a plan compiled under it replays on that
+// core exactly as a kernel emitted against the core itself would.
 func SpecFor(core *aicore.Core) Spec {
 	return Spec{Buffers: core.Mem.Config(), Strict: core.Strict}
 }
@@ -376,11 +376,6 @@ func NewPlanCacheOn(r *obs.Registry) *PlanCache {
 // Metrics returns the registry the cache's counters live in.
 func (c *PlanCache) Metrics() *obs.Registry { return c.metrics }
 
-// SharedPlans is the process-wide default cache used by the legacy
-// one-shot kernel entry points (MaxPoolFwdIm2col, ...), so even callers
-// that never see a Plan amortize compilation across repeated shapes.
-var SharedPlans = NewPlanCache()
-
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Compiled: c.compiled.Load()}
@@ -506,12 +501,12 @@ func emitOptSpans(tc trace.Ctx, pl *Plan) {
 // hand-tuned plan bit-identically.
 type plannerFunc func(Spec, isa.ConvParams, ScheduleParams) (*Plan, error)
 
-// kernelFamilies is the unified dispatch table of every searchable kernel
-// family and its lowering modes. The lowering mode is itself a schedule
+// kernelFamilies is the one dispatch table of every pooling kernel family
+// and its lowering modes (the paper's named lowerings, §V): CompileKernel,
+// the Plan* constructors, the PlanCache methods and the autoscheduler all
+// resolve a kernel through it. The lowering mode is itself a schedule
 // axis: every variant of a family shares one observable contract (same
 // inputs, same outputs), so the autoscheduler may swap it.
-// avgpool_cube.go registers the Cube-unit variant in init, mirroring the
-// legacy registries.
 var kernelFamilies = map[string]map[string]plannerFunc{
 	"maxpool_fwd": {
 		"standard":  planMaxPoolFwdStandard,
@@ -530,16 +525,13 @@ var kernelFamilies = map[string]map[string]plannerFunc{
 	"avgpool_fwd": {
 		"standard": planAvgPoolFwdStandard,
 		"im2col":   planAvgPoolFwdIm2col,
+		"cube":     planAvgPoolFwdCube,
 	},
 	"avgpool_bwd": {
 		"standard": planAvgPoolBwdStandard,
 		"col2im":   planAvgPoolBwdCol2im,
 	},
-	// avgForwardPlanners compatibility: cube registered in init.
 }
-
-// legacy table alias kept for the avgpool_cube init registration.
-var avgForwardPlanners = kernelFamilies["avgpool_fwd"]
 
 // KernelFamilies returns the searchable kernel family names, sorted.
 func KernelFamilies() []string {

@@ -39,8 +39,8 @@ func TestQuickForwardVariants(t *testing.T) {
 		}
 		in := randTile(seed, p)
 		want := ref.MaxPoolForward(in, p)
-		for name, fn := range MaxForward {
-			got, _, err := fn(core, in, p)
+		for _, name := range KernelVariants("maxpool_fwd") {
+			got, _, err := runKernel(core, "maxpool_fwd/"+name, p, in)
 			if err != nil {
 				t.Logf("%s %+v: %v", name, p, err)
 				return false
@@ -76,15 +76,16 @@ func TestQuickTrainingPath(t *testing.T) {
 		for i := 0; i < grad.Len(); i++ {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(4))))
 		}
-		for _, fwdName := range []string{"standard", "im2col"} {
-			_, mask, _, err := MaxForwardArgmax[fwdName](core, in, p)
+		for _, fwdName := range KernelVariants("maxpool_fwd_argmax") {
+			outs, _, err := runPlan(core, pooling("maxpool_fwd_argmax/"+fwdName, p), in)
 			if err != nil {
 				t.Logf("%s %+v: %v", fwdName, p, err)
 				return false
 			}
+			mask := outs[1]
 			want := ref.MaxPoolBackward(mask, grad, p, p.Ih, p.Iw)
-			for _, bwdName := range []string{"standard", "col2im"} {
-				got, _, err := MaxBackward[bwdName](core, mask, grad, p)
+			for _, bwdName := range KernelVariants("maxpool_bwd") {
+				got, _, err := runKernel(core, "maxpool_bwd/"+bwdName, p, mask, grad)
 				if err != nil {
 					t.Logf("%s/%s %+v: %v", fwdName, bwdName, p, err)
 					return false
@@ -116,8 +117,8 @@ func TestQuickConstantIdentity(t *testing.T) {
 		v := fp16.FromFloat64(float64(vRaw%32) + 1)
 		in := tensor.New(1, 1, p.Ih, p.Iw, tensor.C0)
 		in.Fill(v)
-		for name, fn := range MaxForward {
-			got, _, err := fn(core, in, p)
+		for _, name := range KernelVariants("maxpool_fwd") {
+			got, _, err := runKernel(core, "maxpool_fwd/"+name, p, in)
 			if err != nil {
 				return false
 			}
@@ -146,11 +147,11 @@ func TestQuickTrafficParity(t *testing.T) {
 			return true
 		}
 		in := randTile(seed, p)
-		_, stStd, err := MaxPoolFwdStandard(core, in, p)
+		_, stStd, err := runKernel(core, "maxpool_fwd/standard", p, in)
 		if err != nil {
 			return false
 		}
-		_, stIm, err := MaxPoolFwdIm2col(core, in, p)
+		_, stIm, err := runKernel(core, "maxpool_fwd/im2col", p, in)
 		if err != nil {
 			return false
 		}

@@ -20,10 +20,10 @@ import (
 //     the same gate a strict core applies before running anything;
 //  2. the static critical-path upper bound (perf.Analyze) did not
 //     increase: the optimized program's worst case is no worse;
-//  3. the scheduled makespan (aicore.Time, the exact cycles Run/Replay
-//     reports) did not increase;
-//  4. both programs, executed functionally from identical deterministic
-//     buffer contents, leave bit-identical global memory. Global memory
+//  3. both programs are replayed from identical deterministic buffer
+//     contents; the scheduled makespan Replay reports (the exact cycles
+//     aicore.Time computes) did not increase;
+//  4. the two replays leave bit-identical global memory. Global memory
 //     is the only state a plan observes after a run (locals are scratch
 //     and legitimately diverge once dead writes are gone), so GM
 //     equality on a full-entropy input is the behavioral contract.
@@ -51,16 +51,11 @@ func Validate(base, optimized *cce.Program, opts Options) string {
 	if optCP > baseCP {
 		return fmt.Sprintf("critical-path bound regressed: %d -> %d cycles", baseCP, optCP)
 	}
-	baseT := aicore.Time(base, cost, false)
-	optT := aicore.Time(optimized, cost, false)
-	if optT > baseT {
-		return fmt.Sprintf("scheduled makespan regressed: %d -> %d cycles", baseT, optT)
-	}
 	return equivalent(base, optimized, opts)
 }
 
-// equivalent replays base and optimized on two identically seeded cores
-// and compares global memory byte for byte.
+// equivalent replays base and optimized on two identically seeded cores,
+// then compares their makespans and their global memory byte for byte.
 func equivalent(base, optimized *cce.Program, opts Options) string {
 	var foot [isa.NumBufs]int
 	grow := func(prog *cce.Program) {
@@ -101,11 +96,16 @@ func equivalent(base, optimized *cce.Program, opts Options) string {
 			fillDeterministic(sp.Data(), 0x9e3779b9_0000_0000+uint64(id))
 		}
 	}
-	if err := coreA.ExecOnly(base); err != nil {
+	baseSt, err := coreA.Replay(base)
+	if err != nil {
 		return fmt.Sprintf("baseline replay failed: %v", err)
 	}
-	if err := coreB.ExecOnly(optimized); err != nil {
+	optSt, err := coreB.Replay(optimized)
+	if err != nil {
 		return fmt.Sprintf("optimized replay failed: %v", err)
+	}
+	if optSt.Cycles > baseSt.Cycles {
+		return fmt.Sprintf("scheduled makespan regressed: %d -> %d cycles", baseSt.Cycles, optSt.Cycles)
 	}
 	a := coreA.Mem.Space(isa.GM).Data()
 	b := coreB.Mem.Space(isa.GM).Data()

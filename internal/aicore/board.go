@@ -8,16 +8,17 @@ import (
 // board is the implicit-sync timing scoreboard extracted from schedule():
 // per-pipe in-order issue, exact-region data hazards with bounded history,
 // and barrier floors. schedule() drives it alongside functional execution;
-// the static paths (Time, Board) drive it alone, so every start time they
-// compute is identical to what Run/Replay would produce — including the
-// conservative whole-buffer floors history folding introduces.
+// the static paths (Time, Board, Executable) drive it alone, so every
+// start time and every Stats counter they compute is identical to what
+// Run would produce — including the conservative whole-buffer floors
+// history folding introduces.
 type board struct {
 	cost         *isa.CostModel
 	serialize    bool
 	pipeFree     [isa.NumPipes]int64
 	barrierFloor int64
 	bufs         []bufTimes
-	cycles       int64
+	stats        Stats // Cycles is the makespan of everything placed
 }
 
 func newBoard(cost *isa.CostModel, serialize bool) *board {
@@ -34,7 +35,7 @@ func (b *board) constraints(in isa.Instr, tr *stallTracker) {
 	if isBarrier || b.serialize {
 		// Wait for everything issued so far (a barrier join; Serialize
 		// imposes the same join before every instruction).
-		tr.propose(b.cycles, StallBarrier, 0, -1)
+		tr.propose(b.stats.Cycles, StallBarrier, 0, -1)
 		for _, f := range b.pipeFree {
 			tr.propose(f, StallBarrier, 0, -1)
 		}
@@ -58,15 +59,12 @@ func (b *board) constraints(in isa.Instr, tr *stallTracker) {
 }
 
 // place issues in as instruction idx: it resolves the start time against
-// the collected constraints, commits the access history, and returns the
-// scheduled interval plus the attributed stall.
+// the collected constraints, commits the access history, accounts the
+// instruction in the board's Stats, and returns the scheduled interval
+// plus the attributed stall.
 func (b *board) place(in isa.Instr, idx int, tr *stallTracker) (start, end int64, stall Stall) {
 	pipe := in.Pipe()
-	b.constraints(in, tr)
-	start = b.pipeFree[pipe]
-	if tr.t > start {
-		start = tr.t
-	}
+	start = b.start(in, tr)
 	end = start + in.Cycles(b.cost)
 	stall = tr.resolve(b.pipeFree[pipe])
 	b.pipeFree[pipe] = end
@@ -91,45 +89,45 @@ func (b *board) place(in isa.Instr, idx int, tr *stallTracker) (start, end int64
 			}
 		}
 	}
-	if end > b.cycles {
-		b.cycles = end
-	}
+	b.stats.account(in, start, end)
 	return start, end, stall
 }
 
-// startOf peeks at when in would start if issued next, without committing
-// anything.
-func (b *board) startOf(in isa.Instr) int64 {
-	tr := newStallTracker()
-	b.constraints(in, &tr)
-	start := b.pipeFree[in.Pipe()]
-	if tr.t > start {
-		start = tr.t
-	}
-	return start
+// start collects in's constraints into tr and returns when in would
+// start if issued next, without committing anything.
+func (b *board) start(in isa.Instr, tr *stallTracker) int64 {
+	b.constraints(in, tr)
+	return max(b.pipeFree[in.Pipe()], tr.t)
 }
 
-// Time statically computes the makespan Run/Replay would report for prog
-// under the implicit-sync scoreboard — the exact same cycle count,
-// including the bounded-history folding, because the timing model is
-// data-independent. A nil cost model takes the calibrated default. The
-// static optimizer (internal/opt) uses it as its cycle oracle.
-func Time(prog *cce.Program, cost *isa.CostModel, serialize bool) int64 {
-	if cost == nil {
-		cost = isa.DefaultCostModel()
-	}
+// staticStats places every instruction of prog on a fresh board, with no
+// functional execution: the Stats Run would report, since the timing
+// model is data-independent.
+func staticStats(prog *cce.Program, cost *isa.CostModel, serialize bool) Stats {
 	b := newBoard(cost, serialize)
 	for idx, in := range prog.Instrs {
 		tr := newStallTracker()
 		b.place(in, idx, &tr)
 	}
-	return b.cycles
+	return b.stats
+}
+
+// Time statically computes the makespan Run would report for prog under
+// the implicit-sync scoreboard — the exact same cycle count, including the
+// bounded-history folding, because the timing model is data-independent.
+// A nil cost model takes the calibrated default. The static optimizer
+// (internal/opt) uses it as its cycle oracle.
+func Time(prog *cce.Program, cost *isa.CostModel, serialize bool) int64 {
+	if cost == nil {
+		cost = isa.DefaultCostModel()
+	}
+	return staticStats(prog, cost, serialize).Cycles
 }
 
 // Board is an incremental timing scoreboard for static schedulers: StartOf
 // peeks at when an instruction would start if issued next, Place commits
 // it. Issue instructions in the order the candidate program will list
-// them and Cycles returns exactly the makespan Run/Replay would report
+// them and Cycles returns exactly the makespan Run would report
 // for that program.
 type Board struct{ b *board }
 
@@ -143,7 +141,10 @@ func NewBoard(cost *isa.CostModel) *Board {
 }
 
 // StartOf peeks at the start time in would get if issued next.
-func (s *Board) StartOf(in isa.Instr) int64 { return s.b.startOf(in) }
+func (s *Board) StartOf(in isa.Instr) int64 {
+	tr := newStallTracker()
+	return s.b.start(in, &tr)
+}
 
 // Place issues in as the next instruction and returns its scheduled
 // interval. idx is the instruction's index in the candidate program (it
@@ -155,4 +156,4 @@ func (s *Board) Place(in isa.Instr, idx int) (start, end int64) {
 }
 
 // Cycles returns the makespan of everything placed so far.
-func (s *Board) Cycles() int64 { return s.b.cycles }
+func (s *Board) Cycles() int64 { return s.b.stats.Cycles }

@@ -26,9 +26,12 @@ func timingProg() *cce.Program {
 	return p
 }
 
-// TestTimeMatchesRun pins the static cycle oracle to the simulator: Time
-// must report exactly the makespan Run computes, with and without
-// pipelining.
+// TestTimeMatchesRun pins the static board to the simulator, with and
+// without pipelining: Time must report exactly the makespan Run computes,
+// and an untraced Replay of a fresh Executable — flat trace plus static
+// board — must report exactly Run's whole Stats. RunExplicit shares the
+// per-instruction accounting, so on the explicitly synchronized program it
+// must count the same work (everything but Cycles) as Run does.
 func TestTimeMatchesRun(t *testing.T) {
 	for _, serialize := range []bool{false, true} {
 		core := aicore.New(buffer.Config{}, nil)
@@ -40,6 +43,29 @@ func TestTimeMatchesRun(t *testing.T) {
 		if got := aicore.Time(timingProg(), nil, serialize); got != st.Cycles {
 			t.Errorf("serialize=%v: Time = %d, Run = %d", serialize, got, st.Cycles)
 		}
+		flat := aicore.New(buffer.Config{}, nil)
+		flat.Serialize = serialize
+		got, err := flat.Replay(aicore.NewExecutable(timingProg()))
+		if err != nil {
+			t.Fatalf("serialize=%v: Replay: %v", serialize, err)
+		}
+		if *got != *st {
+			t.Errorf("serialize=%v: Replay stats %+v, Run %+v", serialize, *got, *st)
+		}
+	}
+
+	synced := cce.AutoSync(timingProg())
+	st, err := aicore.New(buffer.Config{}, nil).Run(synced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := aicore.New(buffer.Config{}, nil).RunExplicit(synced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Cycles = st.Cycles
+	if *ex != *st {
+		t.Errorf("RunExplicit work counters %+v, Run %+v", *ex, *st)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"davinci/internal/buffer"
 	"davinci/internal/cce"
@@ -29,7 +30,7 @@ type Core struct {
 	// the previous one); used by the scheduling ablation benchmarks.
 	Serialize bool
 	// Trace, when non-nil, records every scheduled instruction for
-	// timeline visualization.
+	// timeline visualization (Replay then interprets the program).
 	Trace *Trace
 	// Strict enables the static verifier (internal/lint): every program
 	// is linted against this core's buffer capacities before execution,
@@ -48,18 +49,16 @@ type Core struct {
 	// blocking hook).
 	Cancel <-chan struct{}
 	// OnInstr, when non-nil, observes every instruction immediately before
-	// its functional execution on the interpreted paths (Run, Replay,
-	// RunExplicit); a non-nil error aborts the run. The fault
-	// injector (internal/faults) uses it to perturb runs at a chosen
-	// instruction. The flattened fast path does not consult it, so plans
-	// interpret the program while a hook is armed (see ops.Plan).
+	// its functional execution (Run, RunExplicit, and Replay, which
+	// interprets the program while a hook is armed); a non-nil error aborts
+	// the run. The fault injector (internal/faults) uses it to perturb runs
+	// at a chosen instruction.
 	OnInstr func(idx int, in isa.Instr) error
-	// ReplayWith, when non-nil, replaces cached-program execution in
-	// ops.Plan.Run: the plan binds inputs and reads outputs as usual but
-	// delegates the replay itself to this hook. The fault injector uses it
-	// to run a perturbed copy of the program (e.g. with a set_flag
-	// dropped) under explicit synchronization semantics.
-	ReplayWith func(*cce.Program) (*Stats, error)
+	// ReplayWith, when non-nil, runs in place of every Replay. The fault
+	// injector uses it to run a perturbed copy of the program (e.g. with a
+	// set_flag dropped) under explicit synchronization semantics. A hook
+	// that wants the ordinary replay must clear itself before calling it.
+	ReplayWith func(*Executable) (*Stats, error)
 	// HangOnDeadlock makes RunExplicit model a deadlocked program the way
 	// hardware would — spinning forever on the unsatisfied wait_flag —
 	// by blocking on Cancel before returning the DeadlockError. Without a
@@ -117,14 +116,9 @@ type Stats struct {
 
 // AddSerial accumulates o as if it ran after s (cycles add).
 func (s *Stats) AddSerial(o *Stats) {
-	s.Cycles += o.Cycles
-	s.Instrs += o.Instrs
-	s.BytesIn += o.BytesIn
-	s.BytesOut += o.BytesOut
-	for i := range s.PipeBusy {
-		s.PipeBusy[i] += o.PipeBusy[i]
-		s.PipeInstrs[i] += o.PipeInstrs[i]
-	}
+	cycles := s.Cycles + o.Cycles
+	s.AddParallel(o)
+	s.Cycles = cycles
 }
 
 // AddParallel accumulates o as if it ran concurrently with s on another
@@ -139,6 +133,27 @@ func (s *Stats) AddParallel(o *Stats) {
 	for i := range s.PipeBusy {
 		s.PipeBusy[i] += o.PipeBusy[i]
 		s.PipeInstrs[i] += o.PipeInstrs[i]
+	}
+}
+
+// account adds one instruction scheduled over [start, end) to s: its
+// pipe's busy time and instruction count, its global-memory traffic, and
+// the makespan.
+func (s *Stats) account(in isa.Instr, start, end int64) {
+	pipe := in.Pipe()
+	s.PipeBusy[pipe] += end - start
+	s.PipeInstrs[pipe]++
+	s.Instrs++
+	if cp, ok := in.(*isa.CopyInstr); ok {
+		switch pipe {
+		case isa.PipeMTE2:
+			s.BytesIn += int64(cp.Bytes())
+		case isa.PipeMTE3:
+			s.BytesOut += int64(cp.Bytes())
+		}
+	}
+	if end > s.Cycles {
+		s.Cycles = end
 	}
 }
 
@@ -211,27 +226,82 @@ func (c *Core) Run(prog *cce.Program) (*Stats, error) {
 	return c.schedule(prog)
 }
 
-// Replay executes and times a pre-compiled program, skipping per-run
-// validation and strict linting: a plan (internal/ops) validates — and, for
-// strict specs, lints — the instruction stream once at compile time, so
-// replaying it on every tile must not pay that cost again. Timing and
-// functional semantics are identical to Run.
-func (c *Core) Replay(prog *cce.Program) (*Stats, error) {
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
-	}
-	return c.schedule(prog)
+// Executable is a program prepared for repeated replay (an ops.Plan holds
+// one). It lazily builds and keeps the program's flattened functional
+// trace and, per (cost model, serialize) context, the Stats the static
+// board computes for it. Both depend only on the instruction stream, so
+// one Executable may be replayed concurrently on any cores whose buffers
+// fit the program.
+type Executable struct {
+	prog     *cce.Program
+	flatOnce sync.Once
+	flat     *flatProgram
+	timings  sync.Map // timingKey -> *Stats
 }
 
-// schedule is the shared body of Run and Replay: functional execution in
-// program order plus the implicit-sync timing scoreboard (see board, which
-// also backs the static Time oracle). Every start time the board computes
-// is identical to the pre-attribution scoreboard: a barrier raises a floor
-// proposed to every later instruction instead of rewriting pipeFree, which
-// yields the same maximum while letting the wait surface as an attributed
-// stall on the pipe that actually pays it.
+type timingKey struct {
+	cost      isa.CostModel
+	serialize bool
+}
+
+// NewExecutable prepares prog for Replay. prog must already be validated
+// (and, for strict use, linted): Replay checks neither.
+func NewExecutable(prog *cce.Program) *Executable { return &Executable{prog: prog} }
+
+// Program returns the instruction stream. Treat as read-only.
+func (e *Executable) Program() *cce.Program { return e.prog }
+
+// Replay executes and times a prepared program, skipping per-run
+// validation and strict linting (the caller did both once, when it
+// built the Executable). It is the one place that chooses how a replay
+// runs:
+//
+//   - ReplayWith set: the hook runs instead.
+//   - Trace or OnInstr attached: the program is interpreted instruction by
+//     instruction with the scoreboard, as Run does, because per-instruction
+//     observers need per-instruction execution and a hang report needs the
+//     trace cut off at the instruction that hung. The trace is reset first,
+//     so each replay yields exactly one timeline.
+//   - Otherwise, the first replay included: the flattened trace runs and
+//     the static board's Stats are returned.
+//
+// All three produce the buffer contents and Stats Run would.
+func (c *Core) Replay(exe *Executable) (*Stats, error) {
+	if c.ReplayWith != nil {
+		return c.ReplayWith(exe)
+	}
+	if c.OnProgram != nil {
+		c.OnProgram(exe.prog)
+	}
+	if c.Trace != nil || c.OnInstr != nil {
+		if c.Trace != nil {
+			c.Trace.Reset()
+		}
+		return c.schedule(exe.prog)
+	}
+	exe.flatOnce.Do(func() { exe.flat = flatten(exe.prog) })
+	if err := c.runFlat(exe.flat); err != nil {
+		return nil, err
+	}
+	key := timingKey{*c.Cost, c.Serialize}
+	v, ok := exe.timings.Load(key)
+	if !ok {
+		st := staticStats(exe.prog, c.Cost, c.Serialize)
+		v, _ = exe.timings.LoadOrStore(key, &st)
+	}
+	st := *v.(*Stats)
+	return &st, nil
+}
+
+// schedule is the interpreted body of Run and Replay: functional execution
+// in program order plus the implicit-sync timing scoreboard (see board,
+// which also backs the static Time oracle and Executable's timing). Every
+// start time the board computes is identical to the pre-attribution
+// scoreboard: a barrier raises a floor proposed to every later instruction
+// instead of rewriting pipeFree, which yields the same maximum while
+// letting the wait surface as an attributed stall on the pipe that
+// actually pays it.
 func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
-	stats := &Stats{}
 	board := newBoard(c.Cost, c.Serialize)
 	if c.Trace != nil {
 		c.Trace.grow(len(prog.Instrs))
@@ -252,27 +322,12 @@ func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
 		if err := c.exec(in); err != nil {
 			return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
 		}
-
-		pipe := in.Pipe()
-		cost := in.Cycles(c.Cost)
 		tr := newStallTracker()
 		start, end, stall := board.place(in, idx, &tr)
-
 		if c.Trace != nil {
 			c.Trace.record(idx, in, start, end, stall)
 		}
-		stats.PipeBusy[pipe] += cost
-		stats.PipeInstrs[pipe]++
-		stats.Instrs++
-		if cp, ok := in.(*isa.CopyInstr); ok {
-			switch pipe {
-			case isa.PipeMTE2:
-				stats.BytesIn += int64(cp.Bytes())
-			case isa.PipeMTE3:
-				stats.BytesOut += int64(cp.Bytes())
-			}
-		}
 	}
-	stats.Cycles = board.cycles
-	return stats, nil
+	st := board.stats
+	return &st, nil
 }

@@ -116,20 +116,7 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 				if _, ok := it.in.(*isa.BarrierInstr); ok {
 					barrierFloor = e
 				}
-				stats.PipeBusy[p] += it.in.Cycles(c.Cost)
-				stats.PipeInstrs[p]++
-				stats.Instrs++
-				if cp, ok := it.in.(*isa.CopyInstr); ok {
-					switch p {
-					case isa.PipeMTE2:
-						stats.BytesIn += int64(cp.Bytes())
-					case isa.PipeMTE3:
-						stats.BytesOut += int64(cp.Bytes())
-					}
-				}
-				if e > stats.Cycles {
-					stats.Cycles = e
-				}
+				stats.account(it.in, s, e)
 				completed++
 				heads[p]++
 				progress = true

@@ -47,29 +47,28 @@ type flatOp struct {
 	n      int
 	scalar fp16.Float16
 	msk16  uint16 // fVecMasked: the block's 16 mask bits
-	idx    int    // originating instruction index, for error context
-	instr  isa.Instr
+	idx    int    // originating instruction (fInstr runs it; errors name it)
 }
 
-// FlatProgram is a pre-flattened functional execution trace of a program:
+// flatProgram is a pre-flattened functional execution trace of a program:
 // instruction decode, lane masking, repeat/block address arithmetic and the
 // SCU's positional walk are resolved once into a linear list of primitive
 // data operations, with adjacent operations coalesced whenever doing so
-// preserves the exact elementary load/op/store order. Replaying the trace
-// is bit-identical to interpreting the program instruction by instruction,
-// but amortizes all per-lane bookkeeping — which is what makes cached plan
-// replay cheap. Flattening never affects timing: cycle counts come from the
-// scheduled (interpretive) pass and are memoized separately.
-type FlatProgram struct {
+// preserves the exact elementary load/op/store order. Running the trace is
+// bit-identical to interpreting the program instruction by instruction,
+// but amortizes all per-lane bookkeeping — which is what makes untraced
+// Replay cheap. Flattening never affects timing: an Executable takes its
+// Stats from the static board.
+type flatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
 }
 
-// Flatten builds the functional trace of prog. It depends only on the
-// instruction stream, so one FlatProgram may be replayed on any core whose
+// flatten builds the functional trace of prog. It depends only on the
+// instruction stream, so one flatProgram may run on any core whose
 // buffers fit the program's footprint.
-func Flatten(prog *cce.Program) *FlatProgram {
-	fp := &FlatProgram{prog: prog}
+func flatten(prog *cce.Program) *flatProgram {
+	fp := &flatProgram{prog: prog}
 	for idx, in := range prog.Instrs {
 		switch v := in.(type) {
 		case *isa.VecInstr:
@@ -87,16 +86,16 @@ func Flatten(prog *cce.Program) *FlatProgram {
 			fp.flattenCol2Im(idx, v)
 		case *isa.ScalarInstr, *isa.BarrierInstr, *isa.SetFlagInstr, *isa.WaitFlagInstr:
 			// Functional no-ops: synchronization shapes the schedule, not
-			// the data, and the schedule is memoized elsewhere.
+			// the data, and the schedule comes from the static board.
 		default:
-			fp.fallback(idx, in)
+			fp.fallback(idx)
 		}
 	}
 	return fp
 }
 
-func (fp *FlatProgram) fallback(idx int, in isa.Instr) {
-	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx, instr: in})
+func (fp *flatProgram) fallback(idx int) {
+	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx})
 }
 
 // maskBlock extracts the 16 mask bits covering block b's lanes.
@@ -110,7 +109,7 @@ func maskBlock(m isa.Mask, b int) uint16 {
 // elementary load/op/store steps, so coalescing is always safe even for
 // reduction-style (overlapping or in-place) addressing. Partially masked
 // blocks stay per-block; fully disabled blocks are dropped.
-func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
+func (fp *flatProgram) flattenVec(idx int, v *isa.VecInstr) {
 	unary, binary := v.Op.IsUnary(), v.Op.IsBinary()
 	for r := 0; r < v.Repeat; r++ {
 		for b := 0; b < isa.BlocksPerRepeat; b++ {
@@ -155,7 +154,7 @@ func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
 // appendMove emits an n-byte copy, merging with a contiguous predecessor
 // only while the merged source and destination ranges stay disjoint — a
 // larger memmove must not observe bytes an earlier burst wrote.
-func (fp *FlatProgram) appendMove(idx int, dBuf, sBuf isa.BufID, dst, src, n int) {
+func (fp *flatProgram) appendMove(idx int, dBuf, sBuf isa.BufID, dst, src, n int) {
 	if ln := len(fp.ops); ln > 0 {
 		prev := &fp.ops[ln-1]
 		if prev.kind == fMove && prev.dBuf == dBuf && prev.sBuf == sBuf &&
@@ -170,7 +169,7 @@ func (fp *FlatProgram) appendMove(idx int, dBuf, sBuf isa.BufID, dst, src, n int
 	fp.ops = append(fp.ops, flatOp{kind: fMove, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: n, idx: idx})
 }
 
-func (fp *FlatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
+func (fp *flatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
 	if ln := len(fp.ops); ln > 0 {
 		prev := &fp.ops[ln-1]
 		if prev.kind == fZero && prev.dBuf == dBuf && prev.dst+prev.n == dst {
@@ -181,7 +180,7 @@ func (fp *FlatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
 	fp.ops = append(fp.ops, flatOp{kind: fZero, dBuf: dBuf, dst: dst, n: n, idx: idx})
 }
 
-func (fp *FlatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
+func (fp *flatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
 	sOff, dOff := m.SrcAddr, m.DstAddr
 	for b := 0; b < m.NBurst; b++ {
 		fp.appendMove(idx, m.DstBuf, m.SrcBuf, dOff, sOff, m.BurstBytes)
@@ -194,7 +193,7 @@ func (fp *FlatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
 // moves and pad zeroes. Any condition the interpreter would reject at run
 // time falls back to the original instruction so the error surfaces
 // identically.
-func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
+func (fp *flatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 	start := len(fp.ops)
 	patches := im.P.Patches()
 	rows := im.EffRows()
@@ -217,7 +216,7 @@ func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 			}
 			if h < im.RowBase || h >= im.RowBase+rows {
 				fp.ops = fp.ops[:start]
-				fp.fallback(idx, im)
+				fp.fallback(idx)
 				return
 			}
 			srcOff := im.SrcAddr + ((c1*rows+h-im.RowBase)*im.P.Iw+w)*rowBytes
@@ -234,7 +233,7 @@ func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 		}
 		if c1 >= im.C1Len && f != im.Repeat-1 {
 			fp.ops = fp.ops[:start]
-			fp.fallback(idx, im)
+			fp.fallback(idx)
 			return
 		}
 	}
@@ -243,7 +242,7 @@ func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 // appendAcc emits a 16-lane accumulate, merging contiguous rows; a merged
 // loop runs the identical read-add-write sequence, so merging is
 // unconditionally order-preserving.
-func (fp *FlatProgram) appendAcc(idx int, dBuf, sBuf isa.BufID, dst, src int) {
+func (fp *flatProgram) appendAcc(idx int, dBuf, sBuf isa.BufID, dst, src int) {
 	if ln := len(fp.ops); ln > 0 {
 		prev := &fp.ops[ln-1]
 		if prev.kind == fAcc && prev.dBuf == dBuf && prev.sBuf == sBuf &&
@@ -255,7 +254,7 @@ func (fp *FlatProgram) appendAcc(idx int, dBuf, sBuf isa.BufID, dst, src int) {
 	fp.ops = append(fp.ops, flatOp{kind: fAcc, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: isa.FractalC0, idx: idx})
 }
 
-func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
+func (fp *flatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 	start := len(fp.ops)
 	patches := ci.P.Patches()
 	patch0 := ci.Patch0
@@ -275,7 +274,7 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 			}
 			if h < ci.RowBase || h >= ci.RowBase+rows {
 				fp.ops = fp.ops[:start]
-				fp.fallback(idx, ci)
+				fp.fallback(idx)
 				return
 			}
 			rowAddr := fracBase + row*rowBytes
@@ -286,19 +285,16 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 	}
 }
 
-// ExecFlat functionally executes a flattened trace, in trace (= program)
+// runFlat functionally executes a flattened trace, in trace (= program)
 // order. It performs no scheduling and records no timing; buffer
 // contents afterwards are bit-identical to Run on the original program.
-func (c *Core) ExecFlat(fp *FlatProgram) error {
-	if c.OnProgram != nil {
-		c.OnProgram(fp.prog)
-	}
+func (c *Core) runFlat(fp *flatProgram) error {
 	for i := range fp.ops {
 		op := &fp.ops[i]
 		if c.interrupted() {
 			return fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
 		}
-		if err := c.execFlat(op); err != nil {
+		if err := c.execFlat(fp.prog, op); err != nil {
 			return fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
 		}
 	}
@@ -312,10 +308,10 @@ func flatBounds(off, n, size int) error {
 	return nil
 }
 
-func (c *Core) execFlat(op *flatOp) error {
+func (c *Core) execFlat(prog *cce.Program, op *flatOp) error {
 	switch op.kind {
 	case fInstr:
-		return c.exec(op.instr)
+		return c.exec(prog.Instrs[op.idx])
 	case fMove:
 		dst := c.Mem.Mem(op.dBuf)
 		src := c.Mem.Mem(op.sBuf)

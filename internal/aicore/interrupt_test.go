@@ -98,16 +98,15 @@ func TestHangOnDeadlock(t *testing.T) {
 	}
 }
 
-// TestExecFlatInterrupted: the flattened replay path polls Cancel too, so
-// memoized plan replays stay abortable.
+// TestExecFlatInterrupted: the flattened path an untraced Replay takes
+// polls Cancel too, so plan replays stay abortable.
 func TestExecFlatInterrupted(t *testing.T) {
 	c := New(buffer.Config{}, nil)
 	p, _, _ := buildChain(c)
-	flat := Flatten(p)
 	cancel := make(chan struct{})
 	close(cancel)
 	c.Cancel = cancel
-	if err := c.ExecFlat(flat); !errors.Is(err, ErrInterrupted) {
+	if _, err := c.Replay(NewExecutable(p)); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 }

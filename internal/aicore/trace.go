@@ -40,9 +40,9 @@ type TraceEntry struct {
 
 // Trace collects the schedule of a run for visualization — the software
 // counterpart of the per-unit hardware counters the paper reads (§VI).
-// Attach one to Core.Trace before Run. A Trace accumulates entries across
-// runs on the same core; call Reset between runs for one timeline per run
-// (ops.Plan.Run does this automatically on tracing cores).
+// Attach one to Core.Trace before running. Run and RunExplicit append to
+// it, so a Trace accumulates entries across those runs; Replay resets it
+// first, so each replay yields exactly one timeline.
 type Trace struct {
 	Entries []TraceEntry
 }

@@ -378,8 +378,11 @@ func tileGrid(n, c1 int) []tileJob {
 }
 
 func checkFractalInput(in *tensor.Tensor) (n, c1 int, err error) {
+	if in == nil {
+		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got nil: %w", ErrInvalidInput)
+	}
 	if len(in.Shape) != 5 || in.Shape[4] != tensor.C0 {
-		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got %v", in.Shape)
+		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got %v: %w", in.Shape, ErrInvalidInput)
 	}
 	return in.Shape[0], in.Shape[1], nil
 }
@@ -674,6 +677,14 @@ func (c *Chip) Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, c
 	n, _, err := checkFractalInput(grad)
 	if err != nil {
 		return nil, nil, err
+	}
+	xn, _, err := checkFractalInput(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	if xn != n || x.Shape[2] != p.Ih || x.Shape[3] != p.Iw {
+		return nil, nil, fmt.Errorf("chip: want an input of batch %d and %dx%d, got %v: %w",
+			n, p.Ih, p.Iw, x.Shape, ErrInvalidInput)
 	}
 	oh, ow := p.OutDims()
 	gradBytes := grad.Shape[1] * oh * ow * tensor.C0 * 2

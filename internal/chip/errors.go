@@ -28,6 +28,9 @@ var (
 	// ErrCoreFailed: a core exceeded its failure budget and was excluded,
 	// or no healthy core remained for a tile.
 	ErrCoreFailed = errors.New("core failed")
+	// ErrInvalidInput: an entry point's tensor argument is nil or its
+	// shape does not fit the call; rejected before any tile runs.
+	ErrInvalidInput = errors.New("invalid input")
 )
 
 // TileError is one tile attempt's failure, carrying the tile identity the

@@ -485,4 +485,25 @@ func TestValidateAtEntryPoints(t *testing.T) {
 	if _, _, err := c.MaxPoolBackward("col2im", mask, in, bad); err == nil {
 		t.Error("MaxPoolBackward accepted Kh=0")
 	}
+
+	// Conv2DBackwardWeights validates x against grad and the layer before
+	// any tile runs: a nil, non-5-d or mismatched x is a typed error, not
+	// a panic.
+	good := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
+	grad := tensor.New(1, 1, 6, 6, tensor.C0)
+	for name, x := range map[string]*tensor.Tensor{
+		"nil":       nil,
+		"4-d":       tensor.New(1, 8, 8, tensor.C0),
+		"batch 2":   tensor.New(2, 1, 8, 8, tensor.C0),
+		"7x8 image": tensor.New(1, 1, 7, 8, tensor.C0),
+		"8x9 image": tensor.New(1, 1, 8, 9, tensor.C0),
+		"C0 of 8":   tensor.New(1, 1, 8, 8, 8),
+	} {
+		if _, _, err := c.Conv2DBackwardWeights(grad, x, good, 16, 16); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("Conv2DBackwardWeights with %s x: err = %v, want ErrInvalidInput", name, err)
+		}
+	}
+	if _, _, err := c.Conv2DBackwardWeights(grad, tensor.New(1, 1, 8, 8, tensor.C0), good, 16, 16); err != nil {
+		t.Errorf("Conv2DBackwardWeights rejected a matching x: %v", err)
+	}
 }

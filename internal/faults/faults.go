@@ -265,8 +265,8 @@ func (inj *Injector) armInstrFault(core *aicore.Core, f Fault) {
 // and the mutilated program runs under explicit semantics, hanging on the
 // starved wait until the core is cancelled.
 func (inj *Injector) armDroppedFlag(core *aicore.Core, f Fault) {
-	core.ReplayWith = func(prog *cce.Program) (*aicore.Stats, error) {
-		synced := cce.AutoSync(prog)
+	core.ReplayWith = func(exe *aicore.Executable) (*aicore.Stats, error) {
+		synced := cce.AutoSync(exe.Program())
 		var sets []int
 		for i, in := range synced.Instrs {
 			if _, ok := in.(*isa.SetFlagInstr); ok {
@@ -274,8 +274,10 @@ func (inj *Injector) armDroppedFlag(core *aicore.Core, f Fault) {
 			}
 		}
 		if len(sets) == 0 {
-			// Single-pipe program: nothing to drop, run clean.
-			return core.Replay(prog)
+			// Single-pipe program: nothing to drop, so disarm and run the
+			// ordinary replay (which would otherwise call this hook again).
+			core.ReplayWith = nil
+			return core.Replay(exe)
 		}
 		drop := sets[int(f.r%uint64(len(sets)))]
 		mut := cce.New(synced.Name + "-dropflag")

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -175,7 +176,7 @@ func TestArmDroppedFlagDeadlocks(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := core.ReplayWith(p)
+		_, err := core.ReplayWith(aicore.NewExecutable(p))
 		done <- err
 	}()
 	select {
@@ -199,6 +200,65 @@ func TestArmDroppedFlagDeadlocks(t *testing.T) {
 	}
 	if got := inj.Injected(KindDroppedFlag); got != 1 {
 		t.Fatalf("faults_injected{droppedflag} = %d, want 1", got)
+	}
+}
+
+// TestArmDroppedFlagSinglePipeRunsClean: a single-pipe program has no
+// set_flag to drop, so the armed hook disarms itself and runs the ordinary
+// replay through Core.Replay — the call ops.Plan.Run makes — returning the
+// clean result instead of calling itself again.
+func TestArmDroppedFlagSinglePipeRunsClean(t *testing.T) {
+	const n = 128
+	singlePipe := func(core *aicore.Core) *cce.Program {
+		src := core.Mem.Space(isa.GM).MustAlloc(n * fp16.Bytes)
+		dst := core.Mem.Space(isa.GM).MustAlloc(n * fp16.Bytes)
+		for i := 0; i < n; i++ {
+			fp16.Store(core.Mem.Mem(isa.GM), src+i*fp16.Bytes, fp16.FromFloat32(float32(i)))
+		}
+		p := cce.New("gm-copy") // GM->GM copies all issue on MTE2
+		p.EmitCopy(isa.GM, src, isa.GM, dst, n*fp16.Bytes)
+		p.EmitCopy(isa.GM, dst, isa.GM, src, n*fp16.Bytes/2)
+		return p
+	}
+	clean := aicore.New(buffer.Config{}, nil)
+	wantSt, err := clean.Replay(aicore.NewExecutable(singlePipe(clean)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inj := New(Config{Seed: 4, Rate: 1}, obs.NewRegistry())
+	core := aicore.New(buffer.Config{}, nil)
+	exe := aicore.NewExecutable(singlePipe(core))
+	inj.Arm(core, Fault{Kind: KindDroppedFlag, r: 5})
+	type result struct {
+		st  *aicore.Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := core.Replay(exe)
+		done <- result{st, err}
+	}()
+	var got result
+	select {
+	case got = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("single-pipe dropped-flag replay never returned")
+	}
+	if got.err != nil {
+		t.Fatalf("single-pipe dropped-flag replay failed: %v", got.err)
+	}
+	if *got.st != *wantSt {
+		t.Errorf("stats %v, clean replay %v", got.st, wantSt)
+	}
+	if !bytes.Equal(core.Mem.Space(isa.GM).Data(), clean.Mem.Space(isa.GM).Data()) {
+		t.Error("global memory differs from the clean replay")
+	}
+	if n := inj.Injected(KindDroppedFlag); n != 0 {
+		t.Errorf("faults_injected{droppedflag} = %d, want 0: nothing to drop", n)
+	}
+	if core.ReplayWith != nil {
+		t.Error("hook still armed after its single run")
 	}
 }
 

@@ -2,7 +2,7 @@ package fp16
 
 // Slice kernels: lane-wise operations over packed little-endian binary16
 // byte slices, used by the simulator's flattened replay path (see
-// aicore.FlatProgram). All slices must have the same even length. dst may
+// aicore.Executable). All slices must have the same even length. dst may
 // alias a or b: lanes are processed in increasing order, so aliased
 // operands observe earlier lanes' results exactly as a sequential
 // per-lane loop would.

@@ -3,14 +3,17 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
+	"davinci/internal/isa"
 	"davinci/internal/kernelcases"
 	"davinci/internal/obs"
 	"davinci/internal/ops"
+	"davinci/internal/tensor"
 	"davinci/internal/workloads"
 )
 
@@ -20,7 +23,8 @@ import (
 // makespan exactly (Account errors otherwise); total attributed stalls
 // must cover the gap between the simulated cycles and the static busy
 // bound of internal/lint/perf; and the exported Chrome trace must parse
-// as valid JSON with a non-empty traceEvents array.
+// as valid JSON with a non-empty traceEvents array. The same compiled
+// plans also pin Replay's path selection (see checkFirstReplay).
 func TestAccountingIdentityEveryKernelEveryLayer(t *testing.T) {
 	layers := workloads.TableI
 	if testing.Short() {
@@ -41,10 +45,12 @@ func TestAccountingIdentityEveryKernelEveryLayer(t *testing.T) {
 			}
 			core := aicore.New(buffer.Config{}, nil)
 			core.Trace = &aicore.Trace{}
-			_, st, err := pl.Run(core, kc.Inputs(rng, p)...)
+			inputs := kc.Inputs(rng, p)
+			outs, st, err := pl.Run(core, inputs...)
 			if err != nil {
 				t.Fatalf("%s %dx%dx%d: run: %v", kc.Name, layer.H, layer.W, layer.C, err)
 			}
+			checkFirstReplay(t, fmt.Sprintf("%s %dx%dx%d", kc.Name, layer.H, layer.W, layer.C), pl, inputs, outs, st)
 			acct, err := obs.Account(core.Trace)
 			if err != nil {
 				t.Fatalf("%s %dx%dx%d: accounting identity: %v", kc.Name, layer.H, layer.W, layer.C, err)
@@ -74,4 +80,56 @@ func TestAccountingIdentityEveryKernelEveryLayer(t *testing.T) {
 		}
 	}
 	t.Logf("accounting identity checked on %d kernel x layer programs", checked)
+}
+
+// checkFirstReplay compares, in three timing contexts sharing pl, the
+// first Run on an untraced core (flat trace plus the static board's
+// schedule) with a Run on a traced core (interpreted): outputs must be
+// byte-identical and the whole Stats equal. The default context's traced
+// run is the caller's (outs, st); the other two contexts, pipelining off
+// and a non-default cost model, must each get their own schedule from the
+// plan's per-context cache. Under the race detector only the default
+// context is checked: the sweep runs on one goroutine, so instrumentation
+// adds no coverage, while each extra context (one more interpreted and one
+// more flat run of all 205 programs) would triple the package's race time.
+func checkFirstReplay(t *testing.T, name string, pl *ops.Plan, inputs, outs []*tensor.Tensor, st *aicore.Stats) {
+	t.Helper()
+	slow := *isa.DefaultCostModel()
+	slow.VecIssue, slow.MteIssue, slow.DmaBytesPerCycle = 7, 40, 32
+	contexts := []struct {
+		name      string
+		cost      *isa.CostModel
+		serialize bool
+	}{{"default", nil, false}, {"serialize", nil, true}, {"cost", &slow, false}}
+	if raceEnabled {
+		contexts = contexts[:1]
+	}
+	for _, tc := range contexts {
+		newCore := func() *aicore.Core {
+			c := aicore.New(buffer.Config{}, tc.cost)
+			c.Serialize = tc.serialize
+			return c
+		}
+		wantOuts, wantSt := outs, st
+		if tc.name != "default" {
+			traced := newCore()
+			traced.Trace = &aicore.Trace{}
+			var err error
+			if wantOuts, wantSt, err = pl.Run(traced, inputs...); err != nil {
+				t.Fatalf("%s %s: interpreted run: %v", name, tc.name, err)
+			}
+		}
+		gotOuts, gotSt, err := pl.Run(newCore(), inputs...)
+		if err != nil {
+			t.Fatalf("%s %s: first replay: %v", name, tc.name, err)
+		}
+		if *gotSt != *wantSt {
+			t.Errorf("%s %s: first replay stats %v, interpreted %v", name, tc.name, gotSt, wantSt)
+		}
+		for i := range wantOuts {
+			if !bytes.Equal(gotOuts[i].Data, wantOuts[i].Data) {
+				t.Errorf("%s %s: first replay output %d differs from interpreted", name, tc.name, i)
+			}
+		}
+	}
 }

@@ -98,14 +98,6 @@ type bindFunc func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error)
 // regions (e.g. unpacking a fractal weight grid). It must be pure.
 type finishFunc func(outs []*tensor.Tensor) []*tensor.Tensor
 
-// timingKey identifies one timing context a plan has been scheduled under.
-// Programs are shape-deterministic, so (cost model, serialize) fully
-// determine the schedule and the cycle counts can be memoized.
-type timingKey struct {
-	cost      isa.CostModel
-	serialize bool
-}
-
 // Plan is a compiled kernel: the emitted, validated (and, under a strict
 // Spec, lint-clean) CCE program together with the buffer-layout metadata
 // needed to execute it on data. Plans are immutable after compilation and
@@ -145,15 +137,7 @@ type Plan struct {
 	gmTop  int // total GM footprint of the planned layout
 	bind   bindFunc
 	finish finishFunc
-
-	// timings memoizes the deterministic schedule per timing context, so
-	// replays after the first skip the scoreboard entirely.
-	timings sync.Map // timingKey -> *aicore.Stats
-
-	// flat lazily caches the flattened functional trace of Prog, used by
-	// memoized replays in place of instruction-by-instruction execution.
-	flatOnce sync.Once
-	flat     *aicore.FlatProgram
+	exe    *aicore.Executable // Prog prepared for replay
 }
 
 // Outputs returns the number of tensors Run produces.
@@ -195,7 +179,7 @@ func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tens
 		copy(data[s.addr:s.addr+s.bytes], bound[i].Data)
 	}
 
-	st, err := pl.replay(core)
+	st, err := core.Replay(pl.exe)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,48 +191,6 @@ func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tens
 		outs = pl.finish(outs)
 	}
 	return outs, st, nil
-}
-
-// replay executes the cached program, memoizing the deterministic schedule
-// per (cost model, serialize) context: the first replay runs the full
-// timing scoreboard, later ones only replay a flattened functional trace
-// of the program (see aicore.Flatten) whose data effects are bit-identical
-// but whose host cost is a fraction of interpreting every instruction.
-// Tracing cores always schedule (the trace needs real start/end times);
-// the trace is reset first so each Run yields exactly one timeline instead
-// of entries accumulating without bound across replays.
-func (pl *Plan) replay(core *aicore.Core) (*aicore.Stats, error) {
-	if core.ReplayWith != nil {
-		// A replay hook (fault injection) substitutes its own execution of
-		// the cached program; its timing is not the plan's deterministic
-		// schedule, so nothing is memoized.
-		return core.ReplayWith(pl.Prog)
-	}
-	key := timingKey{cost: *core.Cost, serialize: core.Serialize}
-	if core.Trace != nil {
-		core.Trace.Reset()
-	}
-	if core.Trace == nil && core.OnInstr == nil {
-		// The flattened fast path bypasses per-instruction hooks, so an
-		// armed OnInstr (fault injection) forces interpretation.
-		if v, ok := pl.timings.Load(key); ok {
-			pl.flatOnce.Do(func() { pl.flat = aicore.Flatten(pl.Prog) })
-			if err := core.ExecFlat(pl.flat); err != nil {
-				return nil, err
-			}
-			st := *v.(*aicore.Stats)
-			return &st, nil
-		}
-	}
-	st, err := core.Replay(pl.Prog)
-	if err != nil {
-		return nil, err
-	}
-	if core.OnInstr == nil {
-		memo := *st
-		pl.timings.Store(key, &memo)
-	}
-	return st, nil
 }
 
 // planner accumulates a plan during compilation. Its scratch core provides
@@ -303,6 +245,7 @@ func (b *planner) seal(prog *cce.Program, spec Spec) (*Plan, error) {
 		prog = b.pl.Opt.Prog
 	}
 	b.pl.Prog = prog
+	b.pl.exe = aicore.NewExecutable(prog)
 	b.pl.Perf = perf.Analyze(prog, perf.Options{Caps: spec.Buffers.Capacities()})
 	b.pl.gmTop = b.core.Mem.Space(isa.GM).Used()
 	return b.pl, nil

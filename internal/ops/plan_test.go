@@ -7,6 +7,8 @@ import (
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
+	"davinci/internal/cce"
+	"davinci/internal/faults"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/obs"
@@ -110,7 +112,7 @@ func TestPlanReplayConcurrent(t *testing.T) {
 
 	for _, tc := range planCases(t, p) {
 		t.Run(tc.name, func(t *testing.T) {
-			// Cold path: a fresh cache, one compile, one scheduled run.
+			// Cold path: a fresh cache, one compile, one first replay.
 			cold, err := tc.get(NewPlanCache(), spec)
 			if err != nil {
 				t.Fatal(err)
@@ -242,8 +244,8 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 }
 
 // TestTraceOneTimelinePerRun pins the replay contract for tracing cores:
-// Plan.Run resets the attached trace, so repeated (memoized) replays yield
-// one timeline each instead of accumulating entries without bound.
+// Replay resets the attached trace, so repeated Plan.Run calls yield one
+// timeline each instead of accumulating entries without bound.
 func TestTraceOneTimelinePerRun(t *testing.T) {
 	p := isa.ConvParams{Ih: 12, Iw: 12, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(5, p)
@@ -268,6 +270,46 @@ func TestTraceOneTimelinePerRun(t *testing.T) {
 		if got := len(core.Trace.Entries); got != first {
 			t.Fatalf("run %d: %d trace entries, want %d (trace accumulating across replays)", run, got, first)
 		}
+	}
+}
+
+// TestArmDroppedFlagSinglePipePlan runs a dropped-flag fault through
+// Plan.Run on a single-pipe plan: with no set_flag to drop, the hook must
+// fall through to the ordinary replay once and return the clean result.
+func TestArmDroppedFlagSinglePipePlan(t *testing.T) {
+	const n = 256
+	b := newPlanner("gm_copy", Spec{}, isa.ConvParams{})
+	src, err := b.input(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := b.core.Mem.Space(isa.GM).Alloc(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.output(dst, n/fp16.Bytes)
+	prog := cce.New("gm_copy") // a GM->GM copy issues on MTE2 alone
+	prog.EmitCopy(isa.GM, src, isa.GM, dst, n)
+	pl, err := b.seal(prog, Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(n / fp16.Bytes)
+	for i := 0; i < in.Len(); i++ {
+		in.SetFlat(i, fp16.FromFloat32(float32(i)))
+	}
+
+	core := newTestCore()
+	faults.New(faults.Config{Seed: 1, Rate: 1}, nil).Arm(core, faults.Fault{Kind: faults.KindDroppedFlag})
+	outs, st, err := pl.Run(core, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(outs[0].Data, in.Data) {
+		t.Error("single-pipe plan output differs from its input")
+	}
+	if want := aicore.Time(prog, nil, false); st.Cycles != want {
+		t.Errorf("cycles = %d, want %d", st.Cycles, want)
 	}
 }
 
@@ -330,7 +372,8 @@ func BenchmarkPlanCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Prime the timing memo so the loop measures steady-state replay.
+		// The first Run builds the plan's flat trace and static schedule;
+		// run it untimed so the loop measures steady-state replay.
 		if _, _, err := pl.Run(core, in); err != nil {
 			b.Fatal(err)
 		}
@@ -350,7 +393,7 @@ func BenchmarkPlanCache(b *testing.B) {
 // TestPlanCacheSpeedup is the acceptance check behind BenchmarkPlanCache:
 // cached replay of the 147x147 layer must beat compile-per-call host wall
 // time by at least 2x (in practice the margin is much larger, since replay
-// skips emission, validation and the hazard scoreboard).
+// skips emission, validation, flattening and the hazard scoreboard).
 func TestPlanCacheSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison")
@@ -381,7 +424,7 @@ func TestPlanCacheSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pl.Run(core, in); err != nil { // prime the timing memo
+	if _, _, err := pl.Run(core, in); err != nil { // build the flat trace and schedule
 		t.Fatal(err)
 	}
 	warm := testing.Benchmark(func(b *testing.B) {

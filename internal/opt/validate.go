@@ -96,11 +96,11 @@ func equivalent(base, optimized *cce.Program, opts Options) string {
 			fillDeterministic(sp.Data(), 0x9e3779b9_0000_0000+uint64(id))
 		}
 	}
-	baseSt, err := coreA.Replay(base)
+	baseSt, err := coreA.Replay(aicore.NewExecutable(base))
 	if err != nil {
 		return fmt.Sprintf("baseline replay failed: %v", err)
 	}
-	optSt, err := coreB.Replay(optimized)
+	optSt, err := coreB.Replay(aicore.NewExecutable(optimized))
 	if err != nil {
 		return fmt.Sprintf("optimized replay failed: %v", err)
 	}

@@ -79,9 +79,12 @@ type (
 	FaultInjector = faults.Injector
 )
 
-// Tile-failure categories, matchable with errors.Is against a failed
-// run's error (see chip.TileError).
+// Failure categories, matchable with errors.Is against a failed run's
+// error (see chip.TileError for the tile failures).
 var (
+	// ErrInvalidInput: a tensor argument is nil or its shape does not
+	// fit the layer; rejected before any tile runs.
+	ErrInvalidInput = chip.ErrInvalidInput
 	// ErrTileFault: an attempt failed with a detected hardware fault.
 	ErrTileFault = chip.ErrTileFault
 	// ErrTileHang: an attempt hung and the watchdog reclaimed the core.

@@ -1,6 +1,7 @@
 package davinci
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -26,6 +27,11 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if tensor.MaxAbsDiff(out, ref.MaxPoolForward(in, p)) != 0 {
 		t.Error("facade output diverges from reference")
+	}
+	// An input that does not fit the layer is an error Device users can
+	// match.
+	if _, _, err := dev.MaxPoolForward("im2col", in, WithInput(Pooling2D(3, 2, 0), 25, 24)); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("mismatched input: err = %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -19,14 +19,14 @@ import (
 // (large sizes only grow the tensors; the interesting boundaries — zero,
 // negative, pad >= kernel, kernel > padded input — survive the fold).
 func FuzzConvParams(f *testing.F) {
-	f.Add(8, 8, 3, 3, 2, 2, 0, 0, 0, 0)    // clean stride-2 pool
-	f.Add(16, 16, 2, 2, 2, 2, 1, 1, 1, 1)  // VGG16-style with padding
-	f.Add(35, 35, 3, 3, 2, 2, 0, 0, 0, 0)  // Table I InceptionV3 pool 3
-	f.Add(0, 5, 3, 3, 2, 2, 0, 0, 0, 0)    // zero input height
-	f.Add(8, 8, -1, 3, 1, 1, 0, 0, 0, 0)   // negative kernel
-	f.Add(8, 8, 3, 3, 0, 2, 0, 0, 0, 0)    // zero stride
-	f.Add(8, 8, 3, 3, 1, 1, 3, 3, 3, 3)    // pad >= kernel
-	f.Add(2, 2, 8, 8, 1, 1, 0, 0, 0, 0)    // kernel > input
+	f.Add(8, 8, 3, 3, 2, 2, 0, 0, 0, 0)   // clean stride-2 pool
+	f.Add(16, 16, 2, 2, 2, 2, 1, 1, 1, 1) // VGG16-style with padding
+	f.Add(35, 35, 3, 3, 2, 2, 0, 0, 0, 0) // Table I InceptionV3 pool 3
+	f.Add(0, 5, 3, 3, 2, 2, 0, 0, 0, 0)   // zero input height
+	f.Add(8, 8, -1, 3, 1, 1, 0, 0, 0, 0)  // negative kernel
+	f.Add(8, 8, 3, 3, 0, 2, 0, 0, 0, 0)   // zero stride
+	f.Add(8, 8, 3, 3, 1, 1, 3, 3, 3, 3)   // pad >= kernel
+	f.Add(2, 2, 8, 8, 1, 1, 0, 0, 0, 0)   // kernel > input
 	f.Fuzz(func(t *testing.T, ih, iw, kh, kw, sh, sw, pt, pb, pl, pr int) {
 		fold := func(v, lo, hi int) int {
 			span := hi - lo + 1

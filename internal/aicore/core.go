@@ -307,20 +307,13 @@ func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
 		c.Trace.grow(len(prog.Instrs))
 	}
 
+	scratch := flatProgram{prog: prog}
 	for idx, in := range prog.Instrs {
-		if c.interrupted() {
-			return nil, fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-		}
-		if c.OnInstr != nil {
-			if err := c.OnInstr(idx, in); err != nil {
-				return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-			}
-		}
 		// Functional execution in program order. In-order issue per pipe
 		// plus hazard-respecting start times make this equivalent to the
 		// timed order for data.
-		if err := c.exec(in); err != nil {
-			return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		if err := c.step(&scratch, idx); err != nil {
+			return nil, err
 		}
 		tr := newStallTracker()
 		start, end, stall := board.place(in, idx, &tr)
@@ -330,4 +323,23 @@ func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
 	}
 	st := board.stats
 	return &st, nil
+}
+
+// step is the interpreter's per-instruction body, shared by schedule and
+// RunExplicit's functional pass: it polls Cancel, calls OnInstr, then
+// lowers instruction idx alone into scratch (reused across the run, so
+// nothing merges across an instruction boundary) and runs its ops.
+func (c *Core) step(scratch *flatProgram, idx int) error {
+	prog, in := scratch.prog, scratch.prog.Instrs[idx]
+	if c.interrupted() {
+		return fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
+	}
+	if c.OnInstr != nil {
+		if err := c.OnInstr(idx, in); err != nil {
+			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		}
+	}
+	scratch.ops, scratch.errs = scratch.ops[:0], scratch.errs[:0]
+	scratch.appendInstr(idx, in)
+	return c.runFlat(scratch)
 }

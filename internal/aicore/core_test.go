@@ -1,6 +1,7 @@
 package aicore
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -213,6 +214,60 @@ func TestCopyBursts(t *testing.T) {
 		}
 		if got := out.AtFlat(16 + i).Float32(); got != float32(32+i) {
 			t.Fatalf("burst1[%d] = %v", i, got)
+		}
+	}
+
+	// Multi-instruction programs: the coalesced trace merges adjacent
+	// copies into one move, but must not merge an in-buffer pair whose
+	// second move reads what the first one wrote. Run and Replay must both
+	// match copying burst by burst in program order.
+	for _, tc := range []struct {
+		name   string
+		instrs []*isa.CopyInstr
+		ops    int // moves in the coalesced trace
+	}{
+		{"adjacent copies", []*isa.CopyInstr{
+			{SrcBuf: isa.GM, SrcAddr: 0, DstBuf: isa.UB, DstAddr: 0, NBurst: 2, BurstBytes: 32},
+			{SrcBuf: isa.GM, SrcAddr: 64, DstBuf: isa.UB, DstAddr: 64, NBurst: 1, BurstBytes: 64},
+			{SrcBuf: isa.GM, SrcAddr: 128, DstBuf: isa.UB, DstAddr: 128, NBurst: 3, BurstBytes: 32},
+		}, 1},
+		{"overlapping move pair", []*isa.CopyInstr{
+			{SrcBuf: isa.UB, SrcAddr: 32, DstBuf: isa.UB, DstAddr: 64, NBurst: 1, BurstBytes: 32},
+			{SrcBuf: isa.UB, SrcAddr: 64, DstBuf: isa.UB, DstAddr: 96, NBurst: 1, BurstBytes: 32},
+		}, 2},
+	} {
+		p := cce.New(tc.name)
+		for _, in := range tc.instrs {
+			p.Emit(in)
+		}
+		if n := len(flatten(p).ops); n != tc.ops {
+			t.Errorf("%s: coalesced trace has %d moves, want %d", tc.name, n, tc.ops)
+		}
+		const span = 256
+		gm, ub := make([]byte, span), make([]byte, span)
+		for i := range gm {
+			gm[i], ub[i] = byte(i), byte(255-i)
+		}
+		model := map[isa.BufID][]byte{isa.GM: bytes.Clone(gm), isa.UB: bytes.Clone(ub)}
+		for _, in := range tc.instrs {
+			for b := 0; b < in.NBurst; b++ {
+				s := in.SrcAddr + b*(in.BurstBytes+in.SrcGap)
+				d := in.DstAddr + b*(in.BurstBytes+in.DstGap)
+				for i := 0; i < in.BurstBytes; i++ {
+					model[in.DstBuf][d+i] = model[in.SrcBuf][s+i]
+				}
+			}
+		}
+		for _, replay := range []bool{false, true} {
+			c := newCore()
+			copy(c.Mem.Mem(isa.GM), gm)
+			copy(c.Mem.Mem(isa.UB), ub)
+			if err := runOrReplay(c, p, replay); err != nil {
+				t.Fatalf("%s replay=%v: %v", tc.name, replay, err)
+			}
+			if got := c.Mem.Mem(isa.UB)[:span]; !bytes.Equal(got, model[isa.UB]) {
+				t.Errorf("%s replay=%v: UB = %v, want %v", tc.name, replay, got, model[isa.UB])
+			}
 		}
 	}
 }

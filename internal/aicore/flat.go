@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
@@ -15,7 +16,8 @@ import (
 type flatKind uint8
 
 const (
-	// fInstr falls back to generic execution of the original instruction.
+	// fInstr runs the original instruction through its interpreter in
+	// exec.go; only MmadInstr and TransposeInstr lower to it.
 	fInstr flatKind = iota
 	// fMove copies n bytes (memmove semantics, like the burst copies it
 	// replaces; only emitted when that matches the instruction order).
@@ -24,17 +26,18 @@ const (
 	fZero
 	// fVec applies an element-wise vector op to n contiguous lanes.
 	fVec
-	// fVecMasked applies a vector op to one 16-lane block under a mask.
-	fVecMasked
 	// fAcc accumulates dst += src over n contiguous lanes (Col2Im merge).
 	fAcc
 	// fCvt converts n float32 elements to Float16 (L0C -> UB move).
 	fCvt
+	// fFail aborts execution with the lowering error errs[n]: an SCU walk
+	// that leaves its source band or walks past its C1 extent.
+	fFail
 )
 
 // flatOp is one primitive data operation of a flattened program. Byte
-// offsets are resolved; n counts lanes for fVec/fVecMasked/fAcc/fCvt and
-// bytes for fMove/fZero.
+// offsets are resolved; n counts lanes for fVec/fAcc/fCvt and bytes for
+// fMove/fZero.
 type flatOp struct {
 	kind   flatKind
 	op     isa.VecOp
@@ -46,22 +49,26 @@ type flatOp struct {
 	src1   int
 	n      int
 	scalar fp16.Float16
-	msk16  uint16 // fVecMasked: the block's 16 mask bits
-	idx    int    // originating instruction (fInstr runs it; errors name it)
+	idx    int // originating instruction (fInstr runs it; errors name it)
 }
 
-// flatProgram is a pre-flattened functional execution trace of a program:
-// instruction decode, lane masking, repeat/block address arithmetic and the
-// SCU's positional walk are resolved once into a linear list of primitive
-// data operations, with adjacent operations coalesced whenever doing so
-// preserves the exact elementary load/op/store order. Running the trace is
-// bit-identical to interpreting the program instruction by instruction,
-// but amortizes all per-lane bookkeeping — which is what makes untraced
-// Replay cheap. Flattening never affects timing: an Executable takes its
-// Stats from the static board.
+// flatProgram is the one statement of what each instruction does to the
+// data: instruction decode, lane masking, repeat/block address arithmetic
+// and the SCU's positional walk resolved into a linear list of primitive
+// data operations. It is built at two granularities from the same
+// lowering (appendInstr). flatten lowers a whole program, coalescing
+// adjacent operations across instructions whenever doing so preserves the
+// exact elementary load/op/store order, which amortizes all per-lane
+// bookkeeping and makes untraced Replay cheap. The interpreter (step)
+// lowers one instruction at a time into a reused scratch flatProgram, so
+// nothing merges across an instruction boundary and per-instruction
+// observers see every instruction. Flattening never affects timing: an
+// Executable takes its Stats from the static board. The errors fFail ops
+// return sit beside the ops, so the op list stays pointer-free.
 type flatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
+	errs []error
 }
 
 // flatten builds the functional trace of prog. It depends only on the
@@ -70,32 +77,45 @@ type flatProgram struct {
 func flatten(prog *cce.Program) *flatProgram {
 	fp := &flatProgram{prog: prog}
 	for idx, in := range prog.Instrs {
-		switch v := in.(type) {
-		case *isa.VecInstr:
-			fp.flattenVec(idx, v)
-		case *isa.CopyInstr:
-			fp.flattenCopy(idx, v)
-		case *isa.ConvCopyInstr:
-			fp.ops = append(fp.ops, flatOp{
-				kind: fCvt, dBuf: isa.UB, sBuf: isa.L0C,
-				dst: v.DstAddr, src: v.SrcAddr, n: v.Elems, idx: idx,
-			})
-		case *isa.Im2ColInstr:
-			fp.flattenIm2Col(idx, v)
-		case *isa.Col2ImInstr:
-			fp.flattenCol2Im(idx, v)
-		case *isa.ScalarInstr, *isa.BarrierInstr, *isa.SetFlagInstr, *isa.WaitFlagInstr:
-			// Functional no-ops: synchronization shapes the schedule, not
-			// the data, and the schedule comes from the static board.
-		default:
-			fp.fallback(idx)
-		}
+		fp.appendInstr(idx, in)
 	}
 	return fp
 }
 
-func (fp *flatProgram) fallback(idx int) {
-	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx})
+// appendInstr lowers instruction idx onto the end of fp.ops.
+func (fp *flatProgram) appendInstr(idx int, in isa.Instr) {
+	switch v := in.(type) {
+	case *isa.VecInstr:
+		fp.appendVec(idx, v)
+	case *isa.CopyInstr:
+		sOff, dOff := v.SrcAddr, v.DstAddr
+		for b := 0; b < v.NBurst; b++ {
+			fp.appendMove(idx, v.DstBuf, v.SrcBuf, dOff, sOff, v.BurstBytes)
+			sOff += v.BurstBytes + v.SrcGap
+			dOff += v.BurstBytes + v.DstGap
+		}
+	case *isa.ConvCopyInstr:
+		fp.ops = append(fp.ops, flatOp{
+			kind: fCvt, dBuf: isa.UB, sBuf: isa.L0C,
+			dst: v.DstAddr, src: v.SrcAddr, n: v.Elems, idx: idx,
+		})
+	case *isa.Im2ColInstr:
+		fp.appendIm2Col(idx, v)
+	case *isa.Col2ImInstr:
+		fp.appendCol2Im(idx, v)
+	case *isa.MmadInstr, *isa.TransposeInstr:
+		fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx})
+	case *isa.ScalarInstr, *isa.BarrierInstr, *isa.SetFlagInstr, *isa.WaitFlagInstr:
+		// Functional no-ops: synchronization shapes the schedule, not
+		// the data.
+	default:
+		fp.fail(idx, fmt.Errorf("unknown instruction type %T", in))
+	}
+}
+
+func (fp *flatProgram) fail(idx int, err error) {
+	fp.ops = append(fp.ops, flatOp{kind: fFail, n: len(fp.errs), idx: idx})
+	fp.errs = append(fp.errs, err)
 }
 
 // maskBlock extracts the 16 mask bits covering block b's lanes.
@@ -103,50 +123,52 @@ func maskBlock(m isa.Mask, b int) uint16 {
 	return uint16(m[b>>2] >> uint((b&3)*16))
 }
 
-// flattenVec expands a vector instruction block by block, in repeat order.
-// Fully-masked blocks become fVec ops and merge with a contiguous
-// predecessor: a merged tight loop executes the identical sequence of
-// elementary load/op/store steps, so coalescing is always safe even for
-// reduction-style (overlapping or in-place) addressing. Partially masked
-// blocks stay per-block; fully disabled blocks are dropped.
-func (fp *flatProgram) flattenVec(idx int, v *isa.VecInstr) {
+// appendVec expands a vector instruction block by block, in repeat order;
+// within a repeat lanes run in order, which gives the hardware's
+// sequential-repeat semantics for reduction-style addressing (destination
+// repeat stride 0). Each run of enabled lanes in a block becomes one fVec
+// op and merges with a contiguous predecessor: a merged tight loop
+// executes the identical sequence of elementary load/op/store steps, so
+// coalescing is always safe even for overlapping or in-place addressing.
+func (fp *flatProgram) appendVec(idx int, v *isa.VecInstr) {
 	unary, binary := v.Op.IsUnary(), v.Op.IsBinary()
 	for r := 0; r < v.Repeat; r++ {
 		for b := 0; b < isa.BlocksPerRepeat; b++ {
 			sub := maskBlock(v.Mask, b)
-			if sub == 0 {
-				continue
-			}
-			op := flatOp{
-				kind: fVec, op: v.Op,
-				dBuf: v.Dst.Buf, dst: v.Dst.BlockAddr(r, b),
-				n: isa.ElemsPerBlock, scalar: v.Scalar, idx: idx,
-			}
-			if unary || binary {
-				op.sBuf = v.Src0.Buf
-				op.src = v.Src0.BlockAddr(r, b)
-			}
-			if binary {
-				op.s1Buf = v.Src1.Buf
-				op.src1 = v.Src1.BlockAddr(r, b)
-			}
-			if sub != 0xffff {
-				op.kind = fVecMasked
-				op.msk16 = sub
-				fp.ops = append(fp.ops, op)
-				continue
-			}
-			if ln := len(fp.ops); ln > 0 {
-				prev := &fp.ops[ln-1]
-				if prev.kind == fVec && prev.op == v.Op && prev.scalar == v.Scalar &&
-					prev.dBuf == op.dBuf && prev.dst+prev.n*fp16.Bytes == op.dst &&
-					(!(unary || binary) || (prev.sBuf == op.sBuf && prev.src+prev.n*fp16.Bytes == op.src)) &&
-					(!binary || (prev.s1Buf == op.s1Buf && prev.src1+prev.n*fp16.Bytes == op.src1)) {
-					prev.n += isa.ElemsPerBlock
-					continue
+			for e := 0; sub != 0; {
+				skip := bits.TrailingZeros16(sub)
+				sub >>= skip
+				e += skip
+				n := bits.TrailingZeros16(^sub)
+				sub >>= n
+				lane := e * fp16.Bytes
+				e += n
+				op := flatOp{
+					kind: fVec, op: v.Op,
+					dBuf: v.Dst.Buf, dst: v.Dst.BlockAddr(r, b) + lane,
+					n: n, scalar: v.Scalar, idx: idx,
 				}
+				if unary || binary {
+					op.sBuf = v.Src0.Buf
+					op.src = v.Src0.BlockAddr(r, b) + lane
+				}
+				if binary {
+					op.s1Buf = v.Src1.Buf
+					op.src1 = v.Src1.BlockAddr(r, b) + lane
+				}
+				if ln := len(fp.ops); ln > 0 {
+					prev := &fp.ops[ln-1]
+					pb := prev.n * fp16.Bytes
+					if prev.kind == fVec && prev.op == v.Op && prev.scalar == v.Scalar &&
+						prev.dBuf == op.dBuf && prev.dst+pb == op.dst &&
+						(!(unary || binary) || (prev.sBuf == op.sBuf && prev.src+pb == op.src)) &&
+						(!binary || (prev.s1Buf == op.s1Buf && prev.src1+pb == op.src1)) {
+						prev.n += n
+						continue
+					}
+				}
+				fp.ops = append(fp.ops, op)
 			}
-			fp.ops = append(fp.ops, op)
 		}
 	}
 }
@@ -180,21 +202,12 @@ func (fp *flatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
 	fp.ops = append(fp.ops, flatOp{kind: fZero, dBuf: dBuf, dst: dst, n: n, idx: idx})
 }
 
-func (fp *flatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
-	sOff, dOff := m.SrcAddr, m.DstAddr
-	for b := 0; b < m.NBurst; b++ {
-		fp.appendMove(idx, m.DstBuf, m.SrcBuf, dOff, sOff, m.BurstBytes)
-		sOff += m.BurstBytes + m.SrcGap
-		dOff += m.BurstBytes + m.DstGap
-	}
-}
-
-// flattenIm2Col resolves the SCU's positional walk into plain 32-byte row
-// moves and pad zeroes. Any condition the interpreter would reject at run
-// time falls back to the original instruction so the error surfaces
-// identically.
-func (fp *flatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
-	start := len(fp.ops)
+// appendIm2Col performs the SCU load transform (paper §III-C): one
+// fractal per repeat, each row a 32-byte move from the loaded band or a
+// pad zero, with the positional parameters advancing according to the
+// repeat mode. A walk that leaves the band or its C1 extent lowers to an
+// fFail op at the point the walk goes wrong.
+func (fp *flatProgram) appendIm2Col(idx int, im *isa.Im2ColInstr) {
 	patches := im.P.Patches()
 	rows := im.EffRows()
 	c1, xk, yk, patch0 := im.C1Idx, im.Xk, im.Yk, im.Patch0
@@ -215,13 +228,14 @@ func (fp *flatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 				continue
 			}
 			if h < im.RowBase || h >= im.RowBase+rows {
-				fp.ops = fp.ops[:start]
-				fp.fallback(idx)
+				fp.fail(idx, fmt.Errorf("im2col patch %d row %d outside band [%d,%d)",
+					patch, h, im.RowBase, im.RowBase+rows))
 				return
 			}
 			srcOff := im.SrcAddr + ((c1*rows+h-im.RowBase)*im.P.Iw+w)*rowBytes
 			fp.appendMove(idx, im.DstBuf, im.SrcBuf, rowAddr, srcOff, rowBytes)
 		}
+		// Advance positional parameters for the next automatic reissue.
 		if im.RepeatMode == isa.Im2ColRepeatPatches {
 			patch0 += isa.FractalPatches
 			if patch0 >= im.P.PaddedPatches() {
@@ -232,8 +246,7 @@ func (fp *flatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 			c1, xk, yk = scu.KernelStep(im.P, c1, xk, yk)
 		}
 		if c1 >= im.C1Len && f != im.Repeat-1 {
-			fp.ops = fp.ops[:start]
-			fp.fallback(idx)
+			fp.fail(idx, fmt.Errorf("im2col repeat walked past c1 extent %d", im.C1Len))
 			return
 		}
 	}
@@ -254,8 +267,11 @@ func (fp *flatProgram) appendAcc(idx int, dBuf, sBuf isa.BufID, dst, src int) {
 	fp.ops = append(fp.ops, flatOp{kind: fAcc, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: isa.FractalC0, idx: idx})
 }
 
-func (fp *flatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
-	start := len(fp.ops)
+// appendCol2Im performs the vector-unit merge: per fractal row, add it
+// into its output position (paper Fig. 6). The tail rows of the last
+// fractal and padding positions are discarded; a row outside the band
+// lowers to an fFail op.
+func (fp *flatProgram) appendCol2Im(idx int, ci *isa.Col2ImInstr) {
 	patches := ci.P.Patches()
 	patch0 := ci.Patch0
 	rows := ci.EffRows()
@@ -273,8 +289,8 @@ func (fp *flatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 				continue
 			}
 			if h < ci.RowBase || h >= ci.RowBase+rows {
-				fp.ops = fp.ops[:start]
-				fp.fallback(idx)
+				fp.fail(idx, fmt.Errorf("col2im patch %d row %d outside band [%d,%d)",
+					patch, h, ci.RowBase, ci.RowBase+rows))
 				return
 			}
 			rowAddr := fracBase + row*rowBytes
@@ -285,105 +301,106 @@ func (fp *flatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 	}
 }
 
-// runFlat functionally executes a flattened trace, in trace (= program)
-// order. It performs no scheduling and records no timing; buffer
-// contents afterwards are bit-identical to Run on the original program.
+// runFlat functionally executes fp's ops in order, polling Cancel before
+// each. It performs no scheduling and records no timing; buffer contents
+// afterwards are bit-identical to interpreting the original program.
 func (c *Core) runFlat(fp *flatProgram) error {
 	for i := range fp.ops {
 		op := &fp.ops[i]
 		if c.interrupted() {
 			return fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
 		}
-		if err := c.execFlat(fp.prog, op); err != nil {
+		if err := c.execFlat(fp, op); err != nil {
 			return fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
 		}
 	}
 	return nil
 }
 
-func flatBounds(off, n, size int) error {
-	if off < 0 || off+n > size {
-		return fmt.Errorf("access [%d:%d) exceeds capacity %d", off, off+n, size)
+// span returns the n bytes at off in buf, or an error naming the buffer
+// when they exceed its capacity.
+func (c *Core) span(buf isa.BufID, off, n int) ([]byte, error) {
+	mem := c.Mem.Mem(buf)
+	if off < 0 || off+n > len(mem) {
+		return nil, fmt.Errorf("access [%d:%d) exceeds %v capacity %d", off, off+n, buf, len(mem))
 	}
-	return nil
+	return mem[off : off+n], nil
 }
 
-func (c *Core) execFlat(prog *cce.Program, op *flatOp) error {
+func (c *Core) execFlat(fp *flatProgram, op *flatOp) error {
 	switch op.kind {
 	case fInstr:
-		return c.exec(prog.Instrs[op.idx])
+		switch v := fp.prog.Instrs[op.idx].(type) {
+		case *isa.MmadInstr:
+			return c.execMmad(v)
+		case *isa.TransposeInstr:
+			return c.execTranspose(v)
+		}
+	case fFail:
+		return fp.errs[op.n]
 	case fMove:
-		dst := c.Mem.Mem(op.dBuf)
-		src := c.Mem.Mem(op.sBuf)
-		if err := flatBounds(op.dst, op.n, len(dst)); err != nil {
+		dst, err := c.span(op.dBuf, op.dst, op.n)
+		if err != nil {
 			return err
 		}
-		if err := flatBounds(op.src, op.n, len(src)); err != nil {
+		src, err := c.span(op.sBuf, op.src, op.n)
+		if err != nil {
 			return err
 		}
-		copy(dst[op.dst:op.dst+op.n], src[op.src:op.src+op.n])
+		copy(dst, src)
 	case fZero:
-		dst := c.Mem.Mem(op.dBuf)
-		if err := flatBounds(op.dst, op.n, len(dst)); err != nil {
+		dst, err := c.span(op.dBuf, op.dst, op.n)
+		if err != nil {
 			return err
 		}
-		clear(dst[op.dst : op.dst+op.n])
+		clear(dst)
 	case fCvt:
-		src := c.Mem.Mem(op.sBuf)
-		dst := c.Mem.Mem(op.dBuf)
-		if err := flatBounds(op.src, op.n*4, len(src)); err != nil {
+		src, err := c.span(op.sBuf, op.src, op.n*4)
+		if err != nil {
 			return err
 		}
-		if err := flatBounds(op.dst, op.n*fp16.Bytes, len(dst)); err != nil {
+		dst, err := c.span(op.dBuf, op.dst, op.n*fp16.Bytes)
+		if err != nil {
 			return err
 		}
 		for i := 0; i < op.n; i++ {
-			f := math.Float32frombits(binary.LittleEndian.Uint32(src[op.src+i*4:]))
-			fp16.Store(dst, op.dst+i*fp16.Bytes, fp16.FromFloat32(f))
+			f := math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
+			fp16.Store(dst, i*fp16.Bytes, fp16.FromFloat32(f))
 		}
 	case fAcc:
-		dst := c.Mem.Mem(op.dBuf)
-		src := c.Mem.Mem(op.sBuf)
-		nb := op.n * fp16.Bytes
-		if err := flatBounds(op.dst, nb, len(dst)); err != nil {
+		dst, err := c.span(op.dBuf, op.dst, op.n*fp16.Bytes)
+		if err != nil {
 			return err
 		}
-		if err := flatBounds(op.src, nb, len(src)); err != nil {
+		src, err := c.span(op.sBuf, op.src, op.n*fp16.Bytes)
+		if err != nil {
 			return err
 		}
-		d := dst[op.dst : op.dst+nb]
-		fp16.AddSlice(d, d, src[op.src:op.src+nb])
+		fp16.AddSlice(dst, dst, src)
 	case fVec:
 		return c.execFlatVec(op)
-	case fVecMasked:
-		return c.execFlatVecMasked(op)
 	}
 	return nil
 }
 
-// execFlatVec runs one coalesced full-mask vector span with a single op
-// dispatch and a tight per-lane loop in original lane order.
+// execFlatVec runs one coalesced vector span with a single op dispatch
+// and a tight per-lane loop in original lane order.
 func (c *Core) execFlatVec(op *flatOp) error {
 	nb := op.n * fp16.Bytes
-	d := c.Mem.Mem(op.dBuf)
-	if err := flatBounds(op.dst, nb, len(d)); err != nil {
+	dst, err := c.span(op.dBuf, op.dst, nb)
+	if err != nil {
 		return err
 	}
-	dst := d[op.dst : op.dst+nb]
 	var s0, s1 []byte
 	if op.op.IsUnary() || op.op.IsBinary() {
-		m := c.Mem.Mem(op.sBuf)
-		if err := flatBounds(op.src, nb, len(m)); err != nil {
+		if s0, err = c.span(op.sBuf, op.src, nb); err != nil {
 			return err
 		}
-		s0 = m[op.src : op.src+nb]
 	}
 	if op.op.IsBinary() {
-		m := c.Mem.Mem(op.s1Buf)
-		if err := flatBounds(op.src1, nb, len(m)); err != nil {
+		if s1, err = c.span(op.s1Buf, op.src1, nb); err != nil {
 			return err
 		}
-		s1 = m[op.src1 : op.src1+nb]
 	}
 	switch op.op {
 	case isa.VDup:
@@ -416,69 +433,6 @@ func (c *Core) execFlatVec(op *flatOp) error {
 		fp16.CmpEqSlice(dst, s0, s1)
 	default:
 		return fmt.Errorf("unknown vector op %v", op.op)
-	}
-	return nil
-}
-
-// execFlatVecMasked runs one partially masked 16-lane block.
-func (c *Core) execFlatVecMasked(op *flatOp) error {
-	const nb = isa.ElemsPerBlock * fp16.Bytes
-	dst := c.Mem.Mem(op.dBuf)
-	if err := flatBounds(op.dst, nb, len(dst)); err != nil {
-		return err
-	}
-	var s0, s1 []byte
-	if op.op.IsUnary() || op.op.IsBinary() {
-		s0 = c.Mem.Mem(op.sBuf)
-		if err := flatBounds(op.src, nb, len(s0)); err != nil {
-			return err
-		}
-	}
-	if op.op.IsBinary() {
-		s1 = c.Mem.Mem(op.s1Buf)
-		if err := flatBounds(op.src1, nb, len(s1)); err != nil {
-			return err
-		}
-	}
-	for e := 0; e < isa.ElemsPerBlock; e++ {
-		if op.msk16>>uint(e)&1 == 0 {
-			continue
-		}
-		var out fp16.Float16
-		switch op.op {
-		case isa.VDup:
-			out = op.scalar
-		case isa.VCopy:
-			out = fp16.Load(s0, op.src+e*fp16.Bytes)
-		case isa.VAdds:
-			out = fp16.Add(fp16.Load(s0, op.src+e*fp16.Bytes), op.scalar)
-		case isa.VMuls:
-			out = fp16.Mul(fp16.Load(s0, op.src+e*fp16.Bytes), op.scalar)
-		default:
-			a := fp16.Load(s0, op.src+e*fp16.Bytes)
-			b := fp16.Load(s1, op.src1+e*fp16.Bytes)
-			switch op.op {
-			case isa.VAdd:
-				out = fp16.Add(a, b)
-			case isa.VSub:
-				out = fp16.Sub(a, b)
-			case isa.VMul:
-				out = fp16.Mul(a, b)
-			case isa.VMax:
-				out = fp16.Max(a, b)
-			case isa.VMin:
-				out = fp16.Min(a, b)
-			case isa.VCmpEq:
-				if fp16.Equal(a, b) {
-					out = fp16.One
-				} else {
-					out = fp16.Zero
-				}
-			default:
-				return fmt.Errorf("unknown vector op %v", op.op)
-			}
-		}
-		fp16.Store(dst, op.dst+e*fp16.Bytes, out)
 	}
 	return nil
 }

@@ -14,7 +14,9 @@ import (
 // scalarVecModel is an independent interpretation of the vector
 // instruction's addressing semantics, written as plainly as possible: it
 // walks repeats, blocks and lanes and applies the op. The simulator's
-// execVec must agree with it for arbitrary strides, masks and repeats.
+// lowering (flat.go), interpreted per instruction by Run and replayed as a
+// coalesced trace, must agree with it for arbitrary strides, masks and
+// repeats.
 func scalarVecModel(mem []byte, v *isa.VecInstr) {
 	read := func(o isa.Operand, r, b, e int) fp16.Float16 {
 		return fp16.Load(mem, o.Addr+(r*o.RepStride+b*o.BlkStride)*isa.BlockBytes+e*fp16.Bytes)
@@ -59,22 +61,32 @@ func scalarVecModel(mem []byte, v *isa.VecInstr) {
 	}
 }
 
-// Property: execVec and the scalar model produce identical UB contents for
-// random instructions (random ops, strides, masks, repeats, aliasing
-// allowed within the same region family).
+// Property: Run, a Replay of the coalesced trace and the scalar model
+// produce identical UB contents for random instructions (random ops,
+// strides, masks, repeats, aliasing allowed within the same region
+// family). Half the inputs are contiguous full-mask spans split over
+// several instructions, which the coalesced trace merges back into one
+// op; the split program must still match the model of the unsplit one.
 func TestQuickVecAddressing(t *testing.T) {
 	const region = 64 << 10
 	ops := []isa.VecOp{isa.VAdd, isa.VSub, isa.VMul, isa.VMax, isa.VMin, isa.VAdds, isa.VMuls, isa.VDup, isa.VCopy, isa.VCmpEq}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		op := ops[rng.Intn(len(ops))]
+		split := rng.Intn(2) == 0
 		repeat := rng.Intn(6) + 1
+		if split {
+			repeat++
+		}
 
 		randOperand := func() isa.Operand {
 			// Keep spans inside the region: addr + (rep*RepStride +
 			// 7*BlkStride + 1) * 32 <= region.
 			blk := rng.Intn(4)  // 0..3
 			rep := rng.Intn(12) // 0..11
+			if split {
+				blk, rep = 1, isa.BlocksPerRepeat
+			}
 			maxAddr := region - ((repeat-1)*rep+7*blk+1)*isa.BlockBytes
 			return isa.Operand{
 				Buf:       isa.UB,
@@ -85,6 +97,9 @@ func TestQuickVecAddressing(t *testing.T) {
 		}
 		var mask isa.Mask
 		mask[0], mask[1] = rng.Uint64(), rng.Uint64()
+		if split {
+			mask = isa.FullMask()
+		}
 		v := &isa.VecInstr{
 			Op:     op,
 			Dst:    randOperand(),
@@ -95,28 +110,48 @@ func TestQuickVecAddressing(t *testing.T) {
 			Repeat: repeat,
 		}
 
-		// Two identical memories with random contents.
-		core := New(buffer.Config{}, nil)
-		ub := core.Mem.Mem(isa.UB)
-		model := make([]byte, len(ub))
-		for i := 0; i < region; i += 2 {
-			h := fp16.FromFloat64(float64(rng.Intn(64)) - 32)
-			fp16.Store(ub, i, h)
-			fp16.Store(model, i, h)
-		}
-		core.Mem.Space(isa.UB).MustAlloc(region)
-
 		p := cce.New("quick")
-		p.Emit(v)
-		if _, err := core.Run(p); err != nil {
-			t.Logf("run failed: %v (%+v)", err, v)
-			return false
-		}
-		scalarVecModel(model, v)
-		for i := 0; i < region; i++ {
-			if ub[i] != model[i] {
-				t.Logf("byte %d differs for %+v", i, v)
+		if split {
+			// Split v at random repeat boundaries; each piece starts
+			// where the previous one ended.
+			for done := 0; done < v.Repeat; {
+				piece := *v
+				piece.Repeat = rng.Intn(v.Repeat-done) + 1
+				for _, o := range []*isa.Operand{&piece.Dst, &piece.Src0, &piece.Src1} {
+					o.Addr += done * o.RepStride * isa.BlockBytes
+				}
+				p.Emit(&piece)
+				done += piece.Repeat
+			}
+			if n := len(flatten(p).ops); n != 1 {
+				t.Logf("%d-instruction contiguous span flattened to %d ops, want 1", p.Len(), n)
 				return false
+			}
+		} else {
+			p.Emit(v)
+		}
+
+		// Random initial contents, and the model's result from them.
+		init := make([]byte, region)
+		for i := 0; i < region; i += 2 {
+			fp16.Store(init, i, fp16.FromFloat64(float64(rng.Intn(64))-32))
+		}
+		model := append([]byte(nil), init...)
+		scalarVecModel(model, v)
+		for _, replay := range []bool{false, true} {
+			core := New(buffer.Config{}, nil)
+			ub := core.Mem.Mem(isa.UB)
+			copy(ub, init)
+			core.Mem.Space(isa.UB).MustAlloc(region)
+			if err := runOrReplay(core, p, replay); err != nil {
+				t.Logf("replay=%v: %v (%+v)", replay, err, v)
+				return false
+			}
+			for i := 0; i < region; i++ {
+				if ub[i] != model[i] {
+					t.Logf("replay=%v: byte %d differs for %+v split into %d", replay, i, v, p.Len())
+					return false
+				}
 			}
 		}
 		return true

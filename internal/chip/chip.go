@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"davinci/internal/aicore"
@@ -377,14 +378,31 @@ func tileGrid(n, c1 int) []tileJob {
 	return jobs
 }
 
-func checkFractalInput(in *tensor.Tensor) (n, c1 int, err error) {
-	if in == nil {
-		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got nil: %w", ErrInvalidInput)
+// checkShape validates an entry point's tensor argument against the shape
+// the layer expects; a negative extent in want matches any size. Every
+// entry point checks all its tensors this way before any tile runs, so a
+// mismatched argument is an ErrInvalidInput rather than a tile panic or a
+// silently mis-sliced result.
+func checkShape(name string, t *tensor.Tensor, want ...int) error {
+	ok := t != nil && len(t.Shape) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = want[i] < 0 || t.Shape[i] == want[i]
 	}
-	if len(in.Shape) != 5 || in.Shape[4] != tensor.C0 {
-		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got %v: %w", in.Shape, ErrInvalidInput)
+	if ok {
+		return nil
 	}
-	return in.Shape[0], in.Shape[1], nil
+	dims := make([]string, len(want))
+	for i, d := range want {
+		dims[i] = "*"
+		if d >= 0 {
+			dims[i] = strconv.Itoa(d)
+		}
+	}
+	got := "nil"
+	if t != nil {
+		got = fmt.Sprint(t.Shape)
+	}
+	return fmt.Errorf("chip: want %s of shape (%s), got %s: %w", name, strings.Join(dims, ","), got, ErrInvalidInput)
 }
 
 // MaxPoolForward runs a forward Maxpool variant ("standard", "im2col",
@@ -427,10 +445,10 @@ func (c *Chip) AvgPoolForward(variant string, in *tensor.Tensor, p isa.ConvParam
 }
 
 func (c *Chip) poolForward(rs *runScope, pl *ops.Plan, in *tensor.Tensor, p isa.ConvParams, fb tileFallback) (*tensor.Tensor, *Stats, error) {
-	n, c1, err := checkFractalInput(in)
-	if err != nil {
+	if err := checkShape("input", in, -1, -1, p.Ih, p.Iw, tensor.C0); err != nil {
 		return nil, nil, err
 	}
+	n, c1 := in.Shape[0], in.Shape[1]
 	oh, ow := p.OutDims()
 	out := tensor.New(n, c1, oh, ow, tensor.C0)
 	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
@@ -462,10 +480,10 @@ func (c *Chip) MaxPoolForwardArgmax(variant string, in *tensor.Tensor, p isa.Con
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, c1, err := checkFractalInput(in)
-	if err != nil {
+	if err := checkShape("input", in, -1, -1, p.Ih, p.Iw, tensor.C0); err != nil {
 		return nil, nil, nil, err
 	}
+	n, c1 := in.Shape[0], in.Shape[1]
 	oh, ow := p.OutDims()
 	out = tensor.New(n, c1, oh, ow, tensor.C0)
 	mask = tensor.New(n, c1, p.Kh, p.Kw, p.PaddedPatches(), tensor.C0)
@@ -502,10 +520,14 @@ func (c *Chip) MaxPoolBackward(variant string, mask, grad *tensor.Tensor, p isa.
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	if len(mask.Shape) != 6 {
-		return nil, nil, fmt.Errorf("chip: want a 6-d argmax mask, got %v", mask.Shape)
+	if err := checkShape("argmax mask", mask, -1, -1, p.Kh, p.Kw, p.PaddedPatches(), tensor.C0); err != nil {
+		return nil, nil, err
 	}
 	n, c1 := mask.Shape[0], mask.Shape[1]
+	oh, ow := p.OutDims()
+	if err := checkShape("grad", grad, n, c1, oh, ow, tensor.C0); err != nil {
+		return nil, nil, err
+	}
 	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
 	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		return pl.Run(core, tensor.SliceOuter2(mask, ni, ci), tensor.SliceC1(grad, ni, ci))
@@ -542,10 +564,11 @@ func (c *Chip) AvgPoolBackward(grad *tensor.Tensor, p isa.ConvParams, useCol2im 
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, c1, err := checkFractalInput(grad)
-	if err != nil {
+	oh, ow := p.OutDims()
+	if err := checkShape("grad", grad, -1, -1, oh, ow, tensor.C0); err != nil {
 		return nil, nil, err
 	}
+	n, c1 := grad.Shape[0], grad.Shape[1]
 	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
 	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		return pl.Run(core, tensor.SliceC1(grad, ni, ci))
@@ -572,8 +595,8 @@ func (c *Chip) Conv2D(in, weights *tensor.Tensor, p isa.ConvParams) (out *tensor
 	if err := p.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("chip: want (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
+	if err := checkShape("weights", weights, -1, -1, p.Kh, p.Kw); err != nil {
+		return nil, nil, err
 	}
 	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
 		return c.plans.Conv2D(ct, c.spec, p, weights.Shape[0], weights.Shape[1])
@@ -581,10 +604,10 @@ func (c *Chip) Conv2D(in, weights *tensor.Tensor, p isa.ConvParams) (out *tensor
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, _, err := checkFractalInput(in)
-	if err != nil {
+	if err := checkShape("input", in, -1, tensor.C1Of(weights.Shape[1]), p.Ih, p.Iw, tensor.C0); err != nil {
 		return nil, nil, err
 	}
+	n := in.Shape[0]
 	co1 := tensor.C1Of(weights.Shape[0])
 	oh, ow := p.OutDims()
 	out = tensor.New(n, co1, oh, ow, tensor.C0)
@@ -620,8 +643,8 @@ func (c *Chip) Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams
 	if err := p.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("chip: want (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
+	if err := checkShape("weights", weights, -1, channels, p.Kh, p.Kw); err != nil {
+		return nil, nil, err
 	}
 	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
 		return c.plans.Conv2DBackwardData(ct, c.spec, p, weights.Shape[0], channels)
@@ -629,13 +652,12 @@ func (c *Chip) Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, _, err := checkFractalInput(grad)
-	if err != nil {
+	oh, ow := p.OutDims()
+	if err := checkShape("grad", grad, -1, tensor.C1Of(weights.Shape[0]), oh, ow, tensor.C0); err != nil {
 		return nil, nil, err
 	}
-	c1 := tensor.C1Of(channels)
-	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
-	oh, ow := p.OutDims()
+	n := grad.Shape[0]
+	out = tensor.New(n, tensor.C1Of(channels), p.Ih, p.Iw, tensor.C0)
 	gradBytes := grad.Shape[1] * oh * ow * tensor.C0 * 2
 	sliceGrad := func(ni int) *tensor.Tensor {
 		g := tensor.New(1, grad.Shape[1], oh, ow, tensor.C0)
@@ -674,19 +696,14 @@ func (c *Chip) Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, c
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, _, err := checkFractalInput(grad)
-	if err != nil {
-		return nil, nil, err
-	}
-	xn, _, err := checkFractalInput(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	if xn != n || x.Shape[2] != p.Ih || x.Shape[3] != p.Iw {
-		return nil, nil, fmt.Errorf("chip: want an input of batch %d and %dx%d, got %v: %w",
-			n, p.Ih, p.Iw, x.Shape, ErrInvalidInput)
-	}
 	oh, ow := p.OutDims()
+	if err := checkShape("grad", grad, -1, tensor.C1Of(co), oh, ow, tensor.C0); err != nil {
+		return nil, nil, err
+	}
+	n := grad.Shape[0]
+	if err := checkShape("input", x, n, tensor.C1Of(channels), p.Ih, p.Iw, tensor.C0); err != nil {
+		return nil, nil, err
+	}
 	gradBytes := grad.Shape[1] * oh * ow * tensor.C0 * 2
 	xBytes := x.Shape[1] * p.Ih * p.Iw * tensor.C0 * 2
 	sliceBatch := func(ni int) (*tensor.Tensor, *tensor.Tensor) {

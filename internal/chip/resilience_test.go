@@ -506,4 +506,85 @@ func TestValidateAtEntryPoints(t *testing.T) {
 	if _, _, err := c.Conv2DBackwardWeights(grad, tensor.New(1, 1, 8, 8, tensor.C0), good, 16, 16); err != nil {
 		t.Errorf("Conv2DBackwardWeights rejected a matching x: %v", err)
 	}
+
+	// Every entry point checks every tensor against the layer (rank, C0,
+	// batch, C1, H/W): a mismatch that would otherwise slice the wrong
+	// data silently, panic in a tile or in the caller, or fail inside a
+	// tile with an untyped error is ErrInvalidInput.
+	img := tensor.New(1, 1, 8, 8, tensor.C0)
+	goodMask := tensor.New(1, 1, 3, 3, good.PaddedPatches(), tensor.C0)
+	for name, call := range map[string]func() error{
+		"MaxPoolForward 9x9 input": func() error {
+			_, _, err := c.MaxPoolForward("im2col", tensor.New(1, 1, 9, 9, tensor.C0), good)
+			return err
+		},
+		"AvgPoolForward 7x8 input": func() error {
+			_, _, err := c.AvgPoolForward("im2col", tensor.New(1, 1, 7, 8, tensor.C0), good)
+			return err
+		},
+		"MaxPoolForwardArgmax nil input": func() error {
+			_, _, _, err := c.MaxPoolForwardArgmax("im2col", nil, good)
+			return err
+		},
+		"MaxPoolBackward nil mask": func() error {
+			_, _, err := c.MaxPoolBackward("col2im", nil, grad, good)
+			return err
+		},
+		"MaxPoolBackward 4x4 mask": func() error {
+			_, _, err := c.MaxPoolBackward("col2im", tensor.New(1, 1, 3, 3, 16, tensor.C0), grad, good)
+			return err
+		},
+		"MaxPoolBackward nil grad": func() error {
+			_, _, err := c.MaxPoolBackward("col2im", goodMask, nil, good)
+			return err
+		},
+		"MaxPoolBackward 5x5 grad": func() error {
+			_, _, err := c.MaxPoolBackward("col2im", goodMask, tensor.New(1, 1, 5, 5, tensor.C0), good)
+			return err
+		},
+		"MaxPoolBackward batch-2 grad": func() error {
+			_, _, err := c.MaxPoolBackward("col2im", goodMask, tensor.New(2, 1, 6, 6, tensor.C0), good)
+			return err
+		},
+		"AvgPoolBackward 5x5 grad": func() error {
+			_, _, err := c.AvgPoolBackward(tensor.New(1, 1, 5, 5, tensor.C0), good, true)
+			return err
+		},
+		"Conv2D 9x9 input": func() error {
+			_, _, err := c.Conv2D(tensor.New(1, 1, 9, 9, tensor.C0), w, good)
+			return err
+		},
+		"Conv2D C1 2 input": func() error {
+			_, _, err := c.Conv2D(tensor.New(1, 2, 8, 8, tensor.C0), w, good)
+			return err
+		},
+		"Conv2D nil weights": func() error {
+			_, _, err := c.Conv2D(img, nil, good)
+			return err
+		},
+		"Conv2DBackwardData 7x7 grad": func() error {
+			_, _, err := c.Conv2DBackwardData(tensor.New(1, 1, 7, 7, tensor.C0), w, good, 16)
+			return err
+		},
+		"Conv2DBackwardData 5x5 grad": func() error {
+			_, _, err := c.Conv2DBackwardData(tensor.New(1, 1, 5, 5, tensor.C0), w, good, 16)
+			return err
+		},
+		"Conv2DBackwardData 8-channel weights": func() error {
+			_, _, err := c.Conv2DBackwardData(grad, tensor.New(16, 8, 3, 3), good, 16)
+			return err
+		},
+		"Conv2DBackwardWeights 7x7 grad": func() error {
+			_, _, err := c.Conv2DBackwardWeights(tensor.New(1, 1, 7, 7, tensor.C0), img, good, 16, 16)
+			return err
+		},
+		"Conv2DBackwardWeights 5x5 grad": func() error {
+			_, _, err := c.Conv2DBackwardWeights(tensor.New(1, 1, 5, 5, tensor.C0), img, good, 16, 16)
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput", name, err)
+		}
+	}
 }

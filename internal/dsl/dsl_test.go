@@ -267,7 +267,7 @@ func TestScheduleDirectives(t *testing.T) {
 
 	// A band the Unified Buffer cannot hold is an invalid schedule, not a
 	// silent clamp.
-	_, _, err = Build(newCore(), CreateSchedule(output).Tile(1 << 20), map[*Placeholder]*tensor.Tensor{input: in})
+	_, _, err = Build(newCore(), CreateSchedule(output).Tile(1<<20), map[*Placeholder]*tensor.Tensor{input: in})
 	if err == nil {
 		t.Fatal("oversized tile accepted")
 	}

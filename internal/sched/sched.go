@@ -154,9 +154,9 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 		}
 		seen[pl.Sched] = true
 		c := &compiledCandidate{pl: pl, bandDiv: bandDiv, cand: Candidate{
-			Params:   sp,
-			Resolved: pl.Sched,
-			CritPath: pl.Perf.CritPath,
+			Params:    sp,
+			Resolved:  pl.Sched,
+			CritPath:  pl.Perf.CritPath,
 			BusyBound: pl.Perf.BusyBound,
 		}}
 		pool = append(pool, c)
